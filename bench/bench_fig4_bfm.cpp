@@ -24,7 +24,7 @@ int main() {
     sim::SimApi api{k, sched};
     bfm::Bfm8051 board(api);
 
-    sysc::TraceFile vcd("fig4_bfm.vcd");
+    sysc::TraceFile vcd(k, "fig4_bfm.vcd");
     vcd.trace(board.pio().p0(), "P0_data");
     vcd.trace(board.pio().p2(), "P2_select");
     vcd.trace(board.pio().ale(), "ALE");

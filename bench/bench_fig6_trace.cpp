@@ -30,7 +30,7 @@ int main() {
     fe.add(trace);
 
     // Scripted keypresses create interrupt activity in the window.
-    gui::KeypadWidget pad(board.keypad());
+    gui::KeypadWidget pad(k, board.keypad());
     fe.add(pad);
     pad.play_script(k, {{Time::ms(105), app::VideoGame::key_right, true},
                      {Time::ms(125), app::VideoGame::key_right, false},

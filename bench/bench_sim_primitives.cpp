@@ -17,7 +17,7 @@ namespace {
 
 void BM_EventNotifyWake(benchmark::State& state) {
     sysc::Kernel k;
-    sysc::Event ping("ping");
+    sysc::Event ping(k, "ping");
     std::uint64_t wakes = 0;
     k.spawn("waiter", [&] {
         for (;;) {
@@ -36,7 +36,7 @@ BENCHMARK(BM_EventNotifyWake);
 
 void BM_CoroutineContextSwitch(benchmark::State& state) {
     sysc::Kernel k;
-    sysc::Event a("a"), b("b");
+    sysc::Event a(k, "a"), b(k, "b");
     k.spawn("ping", [&] {
         for (;;) {
             sysc::wait(a);

@@ -47,8 +47,8 @@ RunResult run_cosim(unsigned widget_period_ms, std::uint64_t gui_cost_iters) {
     game.install();
 
     gui::Frontend fe(gui::Mode::animate);
-    gui::LcdWidget lcd_w(board.lcd(), gui_cost_iters);
-    gui::SsdWidget ssd_w(board.ssd(), gui_cost_iters / 8);
+    gui::LcdWidget lcd_w(k, board.lcd(), gui_cost_iters);
+    gui::SsdWidget ssd_w(k, board.ssd(), gui_cost_iters / 8);
     if (widget_period_ms != 0) {
         fe.add(lcd_w);
         fe.add(ssd_w);

@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
 
     // Virtual prototype: widgets wrap the peripherals (animate mode).
     gui::Frontend fe(gui::Mode::animate);
-    gui::LcdWidget lcd_w(board.lcd());
-    gui::SsdWidget ssd_w(board.ssd());
-    gui::KeypadWidget pad_w(board.keypad());
+    gui::LcdWidget lcd_w(sim.kernel(), board.lcd());
+    gui::SsdWidget ssd_w(sim.kernel(), board.ssd());
+    gui::KeypadWidget pad_w(sim.kernel(), board.keypad());
     gui::EnergyDistributionWidget energy_w(tk.sim());
     fe.add(lcd_w);
     fe.add(ssd_w);

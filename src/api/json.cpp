@@ -301,8 +301,17 @@ private:
             return fail("unexpected end of input");
         }
         switch (s_[pos_]) {
-            case '{': return parse_object(out);
-            case '[': return parse_array(out);
+            case '{':
+            case '[': {
+                if (depth_ == Json::max_depth) {
+                    return fail("nesting deeper than " + std::to_string(Json::max_depth) +
+                                " levels");
+                }
+                ++depth_;
+                const bool ok = s_[pos_] == '{' ? parse_object(out) : parse_array(out);
+                --depth_;
+                return ok;
+            }
             case '"': {
                 std::string str;
                 if (!parse_string(str)) {
@@ -516,6 +525,7 @@ private:
     const std::string& s_;
     std::string* error_;
     std::size_t pos_ = 0;
+    int depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -63,7 +63,13 @@ public:
     /// deterministic. `indent` < 0 gives compact one-line output.
     std::string dump(int indent = 2) const;
 
-    /// Parse `text`; returns false (and fills `error`) on malformed input.
+    /// Deepest array/object nesting parse() accepts. The parser recurses
+    /// once per level, so the cap keeps hostile input (a file of '[')
+    /// from exhausting the stack; in-tree documents nest 6 deep at most.
+    static constexpr int max_depth = 256;
+
+    /// Parse `text`; returns false (and fills `error`) on malformed input,
+    /// including nesting deeper than max_depth.
     static bool parse(const std::string& text, Json& out, std::string* error = nullptr);
 
 private:

@@ -12,7 +12,7 @@ VideoGame::VideoGame(TKernel& tk, bfm::Bfm8051& bfm, GameConfig cfg)
     : tk_(tk), bfm_(bfm), cfg_(cfg) {}
 
 void VideoGame::wire(TKernel& tk, bfm::Bfm8051& bfm) {
-    tk.attach_tick_source(bfm.rtc().tick_event());
+    bfm.rtc().drive(tk.external_tick());
     bfm.intc().set_sink([&tk](unsigned line, bool) {
         tk.trigger_interrupt(line);
     });

@@ -18,6 +18,7 @@ Bfm8051::Bfm8051(sim::SimApi& api, Config cfg)
       bus_(api, cfg.budgets),
       rtc_(api.kernel(), cfg.rtc_resolution),
       serial_(api.kernel(), cfg.uart_baud, &intc_),
+      pio_(api.kernel()),
       lcd_(api.kernel()),
       keypad_(&intc_),
       timer0_(api.kernel(), 0, &intc_),

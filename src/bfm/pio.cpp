@@ -6,8 +6,8 @@
 
 namespace rtk::bfm {
 
-MuxedParallelPort::MuxedParallelPort()
-    : p0_("bfm.p0"), p2_("bfm.p2"), ale_("bfm.ale") {}
+MuxedParallelPort::MuxedParallelPort(sysc::Kernel& kernel)
+    : p0_(kernel, "bfm.p0"), p2_(kernel, "bfm.p2"), ale_(kernel, "bfm.ale") {}
 
 void MuxedParallelPort::attach(std::uint8_t sel, Device& dev) {
     if (!devices_.emplace(sel, &dev).second) {

@@ -17,7 +17,8 @@ namespace rtk::bfm {
 
 class MuxedParallelPort {
 public:
-    MuxedParallelPort();
+    /// The port signals belong to `kernel`.
+    explicit MuxedParallelPort(sysc::Kernel& kernel);
 
     /// Attach `dev` at select code `sel` (0..15).
     void attach(std::uint8_t sel, Device& dev);

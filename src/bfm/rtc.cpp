@@ -14,6 +14,9 @@ RealTimeClock::RealTimeClock(sysc::Kernel& kernel, sysc::Time resolution)
             sysc::wait(resolution_);
             ++count_;
             tick_.notify();
+            if (sink_ != nullptr) {
+                sink_->notify();
+            }
         }
     });
 }

@@ -1,8 +1,9 @@
 // Real-time clock of the BFM: "Real Time Clock driving the kernel Central
 // Module with default timing resolution = 1 ms" (paper §5.1).
 //
-// Exposes the tick as an event (for TKernel::attach_tick_source) and a
-// small register window (tick counter) as a memory-mapped device.
+// Exposes the tick as an event, can notify a consumer's tick input
+// (TKernel::external_tick) with it, and has a small register window (tick
+// counter) as a memory-mapped device.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,10 @@ public:
     ~RealTimeClock() override;
 
     sysc::Event& tick_event() { return tick_; }
+    /// Also notify `tick_input` on every tick. The consumer owns that
+    /// event and must outlive the clock, so no waiter is ever left on an
+    /// event that dies first.
+    void drive(sysc::Event& tick_input) { sink_ = &tick_input; }
     sysc::Time resolution() const { return resolution_; }
     std::uint64_t tick_count() const { return count_; }
 
@@ -38,6 +43,7 @@ private:
     std::string name_ = "rtc";
     sysc::Time resolution_;
     sysc::Event tick_;
+    sysc::Event* sink_ = nullptr;
     std::uint64_t count_ = 0;
     sysc::Process* proc_ = nullptr;
 };

@@ -27,10 +27,6 @@ Frontend::~Frontend() {
     }
 }
 
-void Frontend::animate(Widget& w, sysc::Time period) {
-    animate(sysc::Kernel::current(), w, period);
-}
-
 void Frontend::animate(sysc::Kernel& kernel, Widget& w, sysc::Time period) {
     if (!w.available_in(mode_)) {
         return;

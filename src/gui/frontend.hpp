@@ -32,8 +32,6 @@ public:
     /// Animate-mode refresh of `w` every `period` of simulated time; the
     /// refresh process is spawned on `kernel`.
     void animate(sysc::Kernel& kernel, Widget& w, sysc::Time period);
-    /// Ambient-context form: animates on the thread's current kernel.
-    void animate(Widget& w, sysc::Time period);
 
     /// Text dump of every mode-available widget.
     std::string render_all() const;

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "sysc/kernel.hpp"
-
 namespace rtk::gui {
 
 std::uint64_t HostCostModel::burn() const {
@@ -19,18 +17,18 @@ std::uint64_t HostCostModel::burn() const {
     return x;
 }
 
-Widget::Widget(std::string name, std::uint64_t host_cost_iterations)
-    : name_(std::move(name)), cost_(host_cost_iterations) {}
+Widget::Widget(const sysc::Kernel& kernel, std::string name,
+               std::uint64_t host_cost_iterations)
+    : kernel_(kernel), name_(std::move(name)), cost_(host_cost_iterations) {}
 
 void Widget::refresh() {
-    const sysc::Time now = sysc::Kernel::current().now();
-    if (ever_refreshed_ && !min_interval_.is_zero() &&
-        now - last_refresh_ < min_interval_) {
+    const sysc::Time t = now();
+    if (ever_refreshed_ && !min_interval_.is_zero() && t - last_refresh_ < min_interval_) {
         ++skipped_;
         return;
     }
     ever_refreshed_ = true;
-    last_refresh_ = now;
+    last_refresh_ = t;
     cost_.burn();
     host_work_ += cost_.iterations();
     last_render_ = render();

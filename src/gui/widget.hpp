@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sysc/kernel.hpp"
 #include "sysc/time.hpp"
 
 namespace rtk::gui {
@@ -40,7 +41,9 @@ private:
 
 class Widget {
 public:
-    Widget(std::string name, std::uint64_t host_cost_iterations);
+    /// `kernel` is the simulation whose clock times the refreshes.
+    Widget(const sysc::Kernel& kernel, std::string name,
+           std::uint64_t host_cost_iterations);
     virtual ~Widget() = default;
 
     Widget(const Widget&) = delete;
@@ -72,7 +75,11 @@ public:
     std::uint64_t host_work_done() const { return host_work_; }
     const std::string& last_rendering() const { return last_render_; }
 
+protected:
+    sysc::Time now() const { return kernel_.now(); }
+
 private:
+    const sysc::Kernel& kernel_;
     std::string name_;
     HostCostModel cost_;
     sysc::Time min_interval_{};

@@ -29,10 +29,6 @@ KeypadWidget::~KeypadWidget() {
     }
 }
 
-void KeypadWidget::play_script(std::vector<ScriptEvent> script) {
-    play_script(sysc::Kernel::current(), std::move(script));
-}
-
 void KeypadWidget::play_script(sysc::Kernel& kernel, std::vector<ScriptEvent> script) {
     script_proc_ = &kernel.spawn(
         "gui.keypad.script", [this, script = std::move(script)] {
@@ -68,9 +64,9 @@ std::string KeypadWidget::render() {
 }
 
 std::string GanttWidget::render() {
-    const sysc::Time now = sysc::Kernel::current().now();
-    const sysc::Time from = now > window_ ? now - window_ : sysc::Time::zero();
-    return api_.gantt().render_ascii(from, now, resolution_);
+    const sysc::Time to = now();
+    const sysc::Time from = to > window_ ? to - window_ : sysc::Time::zero();
+    return api_.gantt().render_ascii(from, to, resolution_);
 }
 
 std::string EnergyDistributionWidget::render() {

@@ -20,8 +20,9 @@ namespace rtk::gui {
 /// LCD panel view: the 16x2 text framed like a display bezel.
 class LcdWidget final : public Widget {
 public:
-    LcdWidget(bfm::Lcd16x2& lcd, std::uint64_t host_cost = 20'000)
-        : Widget("lcd", host_cost), lcd_(lcd) {}
+    LcdWidget(const sysc::Kernel& kernel, bfm::Lcd16x2& lcd,
+              std::uint64_t host_cost = 20'000)
+        : Widget(kernel, "lcd", host_cost), lcd_(lcd) {}
     std::string render() override;
 
 private:
@@ -31,8 +32,9 @@ private:
 /// Seven-segment display view.
 class SsdWidget final : public Widget {
 public:
-    SsdWidget(bfm::SevenSegmentDisplay& ssd, std::uint64_t host_cost = 5'000)
-        : Widget("ssd", host_cost), ssd_(ssd) {}
+    SsdWidget(const sysc::Kernel& kernel, bfm::SevenSegmentDisplay& ssd,
+              std::uint64_t host_cost = 5'000)
+        : Widget(kernel, "ssd", host_cost), ssd_(ssd) {}
     std::string render() override;
 
 private:
@@ -49,15 +51,14 @@ public:
         bool press;  ///< false = release
     };
 
-    KeypadWidget(bfm::Keypad4x4& pad, std::uint64_t host_cost = 2'000)
-        : Widget("keypad", host_cost), pad_(pad) {}
+    KeypadWidget(const sysc::Kernel& kernel, bfm::Keypad4x4& pad,
+                 std::uint64_t host_cost = 2'000)
+        : Widget(kernel, "keypad", host_cost), pad_(pad) {}
     ~KeypadWidget() override;
 
     /// Inject a scripted scenario: a process spawned on `kernel` replays
     /// the events.
     void play_script(sysc::Kernel& kernel, std::vector<ScriptEvent> script);
-    /// Ambient-context form: replays on the thread's current kernel.
-    void play_script(std::vector<ScriptEvent> script);
 
     std::string render() override;
     std::uint64_t injected_events() const { return injected_; }
@@ -73,7 +74,10 @@ class GanttWidget final : public Widget {
 public:
     GanttWidget(const sim::SimApi& api, sysc::Time window, sysc::Time resolution,
                 std::uint64_t host_cost = 50'000)
-        : Widget("gantt", host_cost), api_(api), window_(window), resolution_(resolution) {}
+        : Widget(api.kernel(), "gantt", host_cost),
+          api_(api),
+          window_(window),
+          resolution_(resolution) {}
 
     bool available_in(Mode mode) const override { return mode == Mode::step; }
     std::string render() override;
@@ -90,7 +94,7 @@ class EnergyDistributionWidget final : public Widget {
 public:
     EnergyDistributionWidget(const sim::SimApi& api, double battery_wh = 10.0,
                              std::uint64_t host_cost = 30'000)
-        : Widget("energy", host_cost), api_(api), battery_(battery_wh) {}
+        : Widget(api.kernel(), "energy", host_cost), api_(api), battery_(battery_wh) {}
 
     bool available_in(Mode mode) const override { return mode == Mode::animate; }
     std::string render() override;

@@ -6,8 +6,9 @@
 // paper's design-space-exploration story implies: scenario i runs in
 // whatever worker grabs it first, but results[i] always corresponds to
 // specs[i], and every scenario is bit-identical to a serial run of the
-// same spec (each Simulation is fully self-contained and kernels are
-// thread-local -- see sysc::Kernel::current()).
+// same spec (each Simulation is fully self-contained: every object names
+// its kernel, and only a running kernel is bound to its thread -- see
+// sysc::Kernel::current()).
 #pragma once
 
 #include <cstddef>

@@ -10,9 +10,6 @@ Clock::~Clock() {
     proc_->kill();  // the generator references this object
 }
 
-Clock::Clock(std::string name, Time period, unsigned duty_percent, Time start_delay)
-    : Clock(Kernel::current(), std::move(name), period, duty_percent, start_delay) {}
-
 Clock::Clock(Kernel& kernel, std::string name, Time period, unsigned duty_percent,
              Time start_delay)
     : name_(std::move(name)),

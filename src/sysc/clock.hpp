@@ -15,10 +15,8 @@ class Process;
 
 class Clock {
 public:
-    /// duty_percent is the high fraction in percent (1..99).
-    Clock(std::string name, Time period, unsigned duty_percent = 50,
-          Time start_delay = Time::zero());
-    /// Context-explicit form: generator process and signal live on `kernel`.
+    /// Generator process and signal live on `kernel`; duty_percent is
+    /// the high fraction in percent (1..99).
     Clock(Kernel& kernel, std::string name, Time period, unsigned duty_percent = 50,
           Time start_delay = Time::zero());
     ~Clock();

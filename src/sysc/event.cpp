@@ -8,8 +8,6 @@
 
 namespace rtk::sysc {
 
-Event::Event(std::string name) : kernel_(&Kernel::current()), name_(std::move(name)) {}
-
 Event::Event(Kernel& kernel, std::string name)
     : kernel_(&kernel), name_(std::move(name)) {}
 

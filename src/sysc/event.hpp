@@ -1,9 +1,11 @@
 // rtk::sysc::Event -- sc_event analogue with immediate, delta and timed
 // notification and SystemC's "earliest notification wins" override rule.
 //
-// Lifetime contract: an Event belongs to the Kernel that is current at its
-// construction and must not outlive it (the usual structure -- kernel
-// first, modules owning events inside -- satisfies this naturally).
+// Lifetime contract: an Event belongs to the Kernel its constructor names
+// and must not outlive it (the usual structure -- kernel first, modules
+// owning events inside -- satisfies this naturally). An event should also
+// outlive the processes that wait on it: destroying one with waiters
+// left is reported as a warning.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +22,6 @@ class Process;
 
 class Event {
 public:
-    /// Binds to the currently active Kernel (fatal if none).
-    explicit Event(std::string name = {});
-    /// Context-explicit form: binds to `kernel` regardless of what is
-    /// currently active on this thread.
     explicit Event(Kernel& kernel, std::string name = {});
     ~Event();
 

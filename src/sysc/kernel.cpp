@@ -2,22 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 
 #include "sysc/report.hpp"
 
 namespace rtk::sysc {
 
 namespace {
-// Two thread-local views of "the" kernel (see Kernel::current()):
-//  - the construction-nesting chain, linked through Kernel::chain_prev_,
-//    headed by the most recently constructed live kernel of this thread;
-//  - the execution binding, pushed by Kernel::Bind around every entry
-//    into the simulation (run loops, spawn, process teardown).
-// Keeping them separate makes destruction order-independent: unlinking a
-// kernel from the middle of the chain never disturbs whichever kernel is
-// currently executing.
-thread_local Kernel* t_chain_head = nullptr;
+// The kernel executing on this thread (see Kernel::current()).
 thread_local Kernel* t_active = nullptr;
 }  // namespace
 
@@ -29,68 +20,30 @@ Kernel::Bind::~Bind() {
     t_active = prev_;
 }
 
-Kernel::Kernel() {
-    chain_prev_ = t_chain_head;
-    t_chain_head = this;
-}
-
 Kernel::~Kernel() {
     // Kill suspended processes so their coroutine stacks unwind with RAII
     // intact, then destroy them while the kernel queues (which their event
     // destructors deregister from) are still alive. The unwinding stacks
-    // may call ambient-context code, so bind this kernel for the duration.
-    {
-        Bind bind(*this);
-        for (auto& p : processes_) {
-            try {
-                kill_process(*p);
-            } catch (...) {
-                // teardown: drop exceptions from unwinding bodies
-            }
-        }
-        processes_.clear();
-    }
-    // Unlink from the owning thread's construction chain, wherever this
-    // kernel sits in it -- kernels may die in any order, not just LIFO.
-    if (t_chain_head == this) {
-        t_chain_head = chain_prev_;
-        return;
-    }
-    for (Kernel* k = t_chain_head; k != nullptr; k = k->chain_prev_) {
-        if (k->chain_prev_ == this) {
-            k->chain_prev_ = chain_prev_;
-            return;
+    // may call now()/wait machinery, so bind this kernel for the duration.
+    Bind bind(*this);
+    for (auto& p : processes_) {
+        try {
+            kill_process(*p);
+        } catch (...) {
+            // teardown: drop exceptions from unwinding bodies
         }
     }
-    // Not on this thread's chain: the kernel is being destroyed on a
-    // different thread than it was constructed on. The constructing
-    // thread's chain still points at this dying object, so there is no
-    // safe way to continue.
-    try {
-        report(Severity::error, "kernel",
-               "kernel destroyed on a different thread than it was constructed on "
-               "(mismatched kernel nesting)");
-    } catch (...) {
-    }
-    std::abort();
+    processes_.clear();
 }
 
 Kernel& Kernel::current() {
-    Kernel* k = current_or_null();
-    if (k == nullptr) {
-        report(Severity::fatal, "kernel", "no active simulation kernel on this thread");
+    if (t_active == nullptr) {
+        report(Severity::fatal, "kernel", "no simulation kernel is running on this thread");
     }
-    return *k;
-}
-
-Kernel* Kernel::current_or_null() {
-    return t_active != nullptr ? t_active : t_chain_head;
+    return *t_active;
 }
 
 Process& Kernel::spawn(std::string name, std::function<void()> body, SpawnOptions opts) {
-    // Bind while the Process (and its member events) constructs, so the
-    // new process always belongs to the kernel it is spawned on.
-    Bind bind(*this);
     auto proc = std::unique_ptr<Process>(new Process(
         *this, std::move(name), std::move(body), opts.stack_bytes, next_process_id_++));
     Process& ref = *proc;
@@ -196,15 +149,6 @@ Process* Kernel::find_process(const std::string& name) const {
     return nullptr;
 }
 
-std::vector<Process*> Kernel::processes() const {
-    std::vector<Process*> out;
-    out.reserve(processes_.size());
-    for (const auto& p : processes_) {
-        out.push_back(p.get());
-    }
-    return out;
-}
-
 void Kernel::request_update(UpdateListener& listener) {
     update_queue_.push_back(&listener);
 }
@@ -289,8 +233,8 @@ void Kernel::kill_process(Process& p) {
     if (p.state_ == Process::State::terminated) {
         return;
     }
-    // The unwinding coroutine stack may run ambient-context code (RAII
-    // guards calling now()/wait machinery observers).
+    // The unwinding coroutine stack may call the free now()/wait() (RAII
+    // guards, observers), which resolve through current().
     Bind bind(*this);
     // Deregister from events and the runnable queue. The queue scan runs
     // only when the process is actually queued (O(1) membership flag) so

@@ -30,39 +30,20 @@ public:
 
 class Kernel {
 public:
-    Kernel();
+    Kernel() = default;
     ~Kernel();
 
     Kernel(const Kernel&) = delete;
     Kernel& operator=(const Kernel&) = delete;
 
-    /// The kernel context of the calling thread. While a kernel executes
-    /// (run()/run_until()/step_delta()/spawn()/teardown) it is bound here,
-    /// so model code running inside the simulation always resolves to the
-    /// kernel that is driving it -- even with several kernels alive on one
-    /// thread. Outside execution this is the most recently constructed
-    /// live kernel of the thread (construction-nesting order). Kernels are
-    /// strictly thread-local: other threads' kernels are never visible.
-    ///
-    /// Prefer passing the kernel explicitly (every layer above sysc takes
-    /// a Kernel& now); this ambient accessor exists for code executing
-    /// inside simulation processes, where the context is unambiguous.
+    /// The kernel executing on the calling thread: bound for the duration
+    /// of run()/run_until()/step_delta() and process teardown, so the free
+    /// wait()/now() in process bodies resolve to the kernel driving them,
+    /// even with several kernels alive on one thread. A fatal report
+    /// outside any run. Everything else names its kernel explicitly, so a
+    /// kernel belongs to no thread: it may be built on one thread and run
+    /// and destroyed on another.
     static Kernel& current();
-    static Kernel* current_or_null();
-
-    /// RAII binding of a kernel as the thread's execution context; used
-    /// internally around every entry into the simulation and available to
-    /// harnesses that call ambient-context code outside a run.
-    class Bind {
-    public:
-        explicit Bind(Kernel& k);
-        ~Bind();
-        Bind(const Bind&) = delete;
-        Bind& operator=(const Bind&) = delete;
-
-    private:
-        Kernel* prev_;
-    };
 
     /// Create a new simulation process; it becomes runnable immediately.
     Process& spawn(std::string name, std::function<void()> body,
@@ -113,7 +94,6 @@ public:
 
     /// Find a process by name (nullptr if absent); for debug tooling.
     Process* find_process(const std::string& name) const;
-    std::vector<Process*> processes() const;
 
     /// Register a primitive channel for the current update phase.
     void request_update(UpdateListener& listener);
@@ -134,6 +114,19 @@ public:
     void kill_process(Process& p);
 
 private:
+    /// RAII binding of this kernel as the thread's executing kernel,
+    /// around every entry into the simulation.
+    class Bind {
+    public:
+        explicit Bind(Kernel& k);
+        ~Bind();
+        Bind(const Bind&) = delete;
+        Bind& operator=(const Bind&) = delete;
+
+    private:
+        Kernel* prev_;
+    };
+
     /// One slot of the indexed binary min-heap holding timed
     /// notifications, ordered by (at, order) -- `order` reproduces the
     /// deterministic FIFO among equal timestamps. Each Event owns at most
@@ -180,9 +173,6 @@ private:
     std::vector<std::function<void(Time)>> timestep_hooks_;
 
     Process* current_process_ = nullptr;
-    /// Next-older link in the owning thread's construction-nesting chain
-    /// (see current()); unlinked order-independently on destruction.
-    Kernel* chain_prev_ = nullptr;
 };
 
 }  // namespace rtk::sysc

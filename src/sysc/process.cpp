@@ -15,8 +15,8 @@ Process::Process(Kernel& kernel, std::string name, std::function<void()> body,
       name_(std::move(name)),
       id_(id),
       coro_(std::move(body), stack_bytes, &kernel.stack_pool()),
-      timeout_ev_(name_ + ".timeout"),
-      terminated_ev_(name_ + ".terminated") {}
+      timeout_ev_(kernel, name_ + ".timeout"),
+      terminated_ev_(kernel, name_ + ".terminated") {}
 
 void Process::kill() {
     kernel_.kill_process(*this);

@@ -19,11 +19,7 @@ class Signal : public UpdateListener {
     static_assert(std::is_copy_assignable_v<T>, "signal payload must be copyable");
 
 public:
-    explicit Signal(std::string name, T init = T{})
-        : Signal(Kernel::current(), std::move(name), init) {}
-
-    /// Context-explicit form: binds the signal (and its edge events) to
-    /// `kernel` regardless of what is currently active on this thread.
+    /// The signal and its edge events belong to `kernel`.
     Signal(Kernel& kernel, std::string name, T init = T{})
         : kernel_(&kernel),
           name_(std::move(name)),

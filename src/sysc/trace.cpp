@@ -9,9 +9,6 @@
 
 namespace rtk::sysc {
 
-TraceFile::TraceFile(std::string path, Time timescale)
-    : TraceFile(Kernel::current(), std::move(path), timescale) {}
-
 TraceFile::TraceFile(Kernel& kernel, std::string path, Time timescale)
     : kernel_(&kernel), path_(std::move(path)), out_(path_), timescale_(timescale) {
     if (!out_) {

@@ -21,9 +21,7 @@ namespace rtk::sysc {
 class TraceFile {
 public:
     /// Creates/truncates `path`; timescale fixes the VCD time unit.
-    /// Samples after every delta cycle of the currently active kernel.
-    explicit TraceFile(std::string path, Time timescale = Time::ns(1));
-    /// Context-explicit form: samples the delta cycles of `kernel`.
+    /// Samples after every delta cycle of `kernel`.
     TraceFile(Kernel& kernel, std::string path, Time timescale = Time::ns(1));
     ~TraceFile();
 

@@ -94,8 +94,8 @@ void TKernel::power_on() {
     // internal timer or the BFM real-time clock (paper §5.1).
     central_procs_.push_back(&k.spawn("tkernel.thread_dispatch", [this] {
         for (;;) {
-            if (tick_source_ != nullptr) {
-                sysc::wait(*tick_source_);
+            if (external_tick_) {
+                sysc::wait(*external_tick_);
             } else {
                 sysc::wait(cfg_.tick);
             }
@@ -104,8 +104,11 @@ void TKernel::power_on() {
     }));
 }
 
-void TKernel::attach_tick_source(sysc::Event& tick) {
-    tick_source_ = &tick;
+sysc::Event& TKernel::external_tick() {
+    if (!external_tick_) {
+        external_tick_.emplace(*sysc_, "tkernel.external_tick");
+    }
+    return *external_tick_;
 }
 
 void TKernel::attach_reset(sysc::Event& reset_release) {

@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,9 +86,12 @@ public:
     /// Wire boot to an external reset signal (BFM integration).
     void attach_reset(sysc::Event& reset_release);
     /// Drive the system tick from an external source (the BFM's real-time
-    /// clock, paper §5.1) instead of the internal timer. Call before
-    /// power_on(); the RTC period must equal config().tick.
-    void attach_tick_source(sysc::Event& tick);
+    /// clock, paper §5.1) instead of the internal timer: thread dispatch
+    /// then waits on the returned event, which the source notifies on
+    /// every tick. The event belongs to this kernel, so the dispatch
+    /// process waiting on it is killed before it dies. Call before
+    /// power_on(); the source period must equal config().tick.
+    sysc::Event& external_tick();
     bool booted() const { return booted_; }
 
     // ========================================================================
@@ -400,7 +404,7 @@ private:
     std::vector<ID> exd_pending_;     ///< tasks awaiting deferred deletion
 
     std::function<void()> usermain_;
-    sysc::Event* tick_source_ = nullptr;
+    std::optional<sysc::Event> external_tick_;
     sim::TThread* tick_thread_ = nullptr;
     std::vector<sysc::Process*> central_procs_;  ///< Boot/Dispatch/wires
     ID init_task_id_ = 0;

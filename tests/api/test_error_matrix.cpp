@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "api/system.hpp"
@@ -193,6 +194,12 @@ const KindCase kCases[] = {
      },
      nullptr},
 };
+
+// Print the kind's name, not a byte dump: gtest puts the printed
+// parameter in the test's listed name, and the dump holds pointers.
+void PrintTo(const KindCase& c, std::ostream* os) {
+    *os << c.name;
+}
 
 class ErrorMatrixTest : public ::testing::TestWithParam<KindCase> {};
 

@@ -164,7 +164,7 @@ TEST_F(DeviceTest, RtcTicksAndCounts) {
 }
 
 TEST_F(DeviceTest, MuxedPortRoutesBySelect) {
-    MuxedParallelPort pio;
+    MuxedParallelPort pio{k};
     Lcd16x2 lcd{k};
     SevenSegmentDisplay ssd;
     pio.attach(1, lcd);
@@ -185,11 +185,31 @@ TEST_F(DeviceTest, MuxedPortRoutesBySelect) {
 }
 
 TEST_F(DeviceTest, MuxedPortDoubleAttachIsFatal) {
-    MuxedParallelPort pio;
+    MuxedParallelPort pio{k};
     Lcd16x2 a{k};
     SevenSegmentDisplay b;
     pio.attach(1, a);
     EXPECT_THROW(pio.attach(1, b), sysc::SimError);
+}
+
+TEST_F(DeviceTest, PioSignalsBelongToTheBoardKernel) {
+    // Regression: the port signals used to bind to whichever kernel was
+    // constructed last on the thread, so with a second kernel alive the
+    // write sat in that kernel's update queue and never reached P0.
+    sim::PriorityPreemptiveScheduler sched;
+    sim::SimApi api{k, sched};
+    sysc::Kernel newer;
+    Bfm8051 bfm(api);
+    k.spawn("drv", [&] {
+        bfm.pio().select(3, 1);
+        bfm.pio().data_write(0x5a);
+        sysc::wait(Time::us(1));
+    });
+    k.run_until(Time::us(2));
+    EXPECT_EQ(bfm.pio().p0().read(), 0x5a);
+    EXPECT_EQ(bfm.pio().p2().read(), 0x31);
+    EXPECT_EQ(bfm.pio().p0().change_count(), 1u);
+    EXPECT_TRUE(newer.idle());
 }
 
 TEST_F(DeviceTest, Bfm8051HighLevelDrivers) {

@@ -30,7 +30,7 @@ protected:
 
 struct CountingWidget final : Widget {
     int renders = 0;
-    CountingWidget() : Widget("counting", 10) {}
+    explicit CountingWidget(const sysc::Kernel& k) : Widget(k, "counting", 10) {}
     std::string render() override {
         ++renders;
         return "r" + std::to_string(renders);
@@ -38,7 +38,7 @@ struct CountingWidget final : Widget {
 };
 
 TEST_F(WidgetTest, RefreshBurnsAndRenders) {
-    CountingWidget w;
+    CountingWidget w(k);
     w.refresh();
     w.refresh();
     EXPECT_EQ(w.renders, 2);
@@ -48,7 +48,7 @@ TEST_F(WidgetTest, RefreshBurnsAndRenders) {
 }
 
 TEST_F(WidgetTest, FrameLimiterSkipsHastyRefreshes) {
-    CountingWidget w;
+    CountingWidget w(k);
     w.set_min_interval(Time::ms(10));
     k.spawn("drv", [&] {
         w.refresh();            // t=0: accepted
@@ -65,7 +65,7 @@ TEST_F(WidgetTest, FrameLimiterSkipsHastyRefreshes) {
 
 TEST_F(WidgetTest, LcdWidgetRendersFrame) {
     bfm::Bfm8051 board(api);
-    LcdWidget w(board.lcd());
+    LcdWidget w(k, board.lcd());
     sim::TThread& t = api.SIM_CreateThread("drv", sim::ThreadKind::task, 5, [&] {
         board.lcd_print(0, 0, "HELLO");
     });
@@ -78,8 +78,8 @@ TEST_F(WidgetTest, LcdWidgetRendersFrame) {
 
 TEST_F(WidgetTest, SsdAndKeypadWidgets) {
     bfm::Bfm8051 board(api);
-    SsdWidget sw(board.ssd());
-    KeypadWidget kw(board.keypad());
+    SsdWidget sw(k, board.ssd());
+    KeypadWidget kw(k, board.keypad());
     board.keypad().press(5);
     sw.refresh();
     kw.refresh();
@@ -89,7 +89,7 @@ TEST_F(WidgetTest, SsdAndKeypadWidgets) {
 
 TEST_F(WidgetTest, KeypadScriptInjectsEvents) {
     bfm::Bfm8051 board(api);
-    KeypadWidget kw(board.keypad());
+    KeypadWidget kw(k, board.keypad());
     kw.play_script(k, {{Time::ms(5), 2, true}, {Time::ms(10), 2, false}});
     k.run_until(Time::ms(7));
     EXPECT_TRUE(board.keypad().is_pressed(2));
@@ -110,7 +110,7 @@ TEST_F(WidgetTest, ModeAvailability) {
 TEST_F(WidgetTest, FrontendDrivesWidgetFromBusAccess) {
     bfm::Bfm8051 board(api);
     Frontend fe(Mode::animate);
-    LcdWidget lw(board.lcd());
+    LcdWidget lw(k, board.lcd());
     fe.add(lw);
     fe.drive_from_bus(board.bus(), bfm::Bfm8051::lcd_base, 0x10, lw);
     sim::TThread& t = api.SIM_CreateThread("drv", sim::ThreadKind::task, 5, [&] {

@@ -6,6 +6,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "app/videogame.hpp"
 #include "gui/gui.hpp"
@@ -16,11 +20,35 @@ namespace {
 using namespace tkernel;
 using sysc::Time;
 
-TEST(CosimTest, RtcDrivesKernelTick) {
+// Every co-simulation here must also tear down cleanly: a warning (say,
+// an event destroyed while a process still waits on it) fails the test.
+class CosimTest : public ::testing::Test {
+protected:
+    void SetUp() override {
+        prev_ = sysc::set_report_handler(
+            [this](sysc::Severity sev, std::string_view id, std::string_view msg) {
+                if (sev == sysc::Severity::warning || sev == sysc::Severity::error) {
+                    reports_.push_back(std::string(id) + ": " + std::string(msg));
+                }
+            });
+    }
+    void TearDown() override {
+        sysc::set_report_handler(std::move(prev_));
+        for (const std::string& r : reports_) {
+            ADD_FAILURE() << "unexpected report: " << r;
+        }
+    }
+
+private:
+    sysc::ReportHandler prev_;
+    std::vector<std::string> reports_;
+};
+
+TEST_F(CosimTest, RtcDrivesKernelTick) {
     sysc::Kernel k;
     TKernel tk{k};
     bfm::Bfm8051 bfm(tk.sim());
-    tk.attach_tick_source(bfm.rtc().tick_event());
+    bfm.rtc().drive(tk.external_tick());
     tk.set_user_main([] {});
     tk.power_on();
     k.run_until(Time::ms(50));
@@ -31,7 +59,7 @@ TEST(CosimTest, RtcDrivesKernelTick) {
     EXPECT_GE(tk.tick_count(), 49u);
 }
 
-TEST(CosimTest, BfmInterruptReachesKernelHandler) {
+TEST_F(CosimTest, BfmInterruptReachesKernelHandler) {
     sysc::Kernel k;
     TKernel tk{k};
     bfm::Bfm8051 bfm(tk.sim());
@@ -49,7 +77,7 @@ TEST(CosimTest, BfmInterruptReachesKernelHandler) {
     EXPECT_EQ(hits, 1);
 }
 
-TEST(CosimTest, WidgetsRefreshAtBfmAccessRate) {
+TEST_F(CosimTest, WidgetsRefreshAtBfmAccessRate) {
     sysc::Kernel k;
     TKernel tk{k};
     bfm::Bfm8051 bfm(tk.sim());
@@ -59,7 +87,7 @@ TEST(CosimTest, WidgetsRefreshAtBfmAccessRate) {
     app::VideoGame::wire(tk, bfm);
     game.install();
     gui::Frontend fe(gui::Mode::animate);
-    gui::LcdWidget lw(bfm.lcd(), 100);
+    gui::LcdWidget lw(k, bfm.lcd(), 100);
     fe.add(lw);
     fe.drive_from_bus(bfm.bus(), bfm::Bfm8051::lcd_base, 0x10, lw);
     lw.set_min_interval(Time::ms(20));  // one refresh per frame burst
@@ -71,14 +99,14 @@ TEST(CosimTest, WidgetsRefreshAtBfmAccessRate) {
     EXPECT_GT(lw.skipped_count(), lw.refresh_count());
 }
 
-TEST(CosimTest, WaveformProbesBfmSignals) {
+TEST_F(CosimTest, WaveformProbesBfmSignals) {
     const std::string path = "cosim_probe.vcd";
     {
         sysc::Kernel k;
         sim::PriorityPreemptiveScheduler sched;
         sim::SimApi api{k, sched};
         bfm::Bfm8051 bfm(api);
-        sysc::TraceFile tf(path);
+        sysc::TraceFile tf(k, path);
         tf.trace(bfm.pio().p0(), "P0");
         tf.trace(bfm.pio().p2(), "P2");
         tf.trace(bfm.pio().ale(), "ALE");
@@ -103,7 +131,7 @@ TEST(CosimTest, WaveformProbesBfmSignals) {
     std::remove(path.c_str());
 }
 
-TEST(CosimTest, StepModeGanttMatchesAnimateModeAccounting) {
+TEST_F(CosimTest, StepModeGanttMatchesAnimateModeAccounting) {
     // Step mode (run in 1 ms increments) and animate mode (single run)
     // must produce identical simulated results.
     auto run = [](bool step) {
@@ -128,7 +156,7 @@ TEST(CosimTest, StepModeGanttMatchesAnimateModeAccounting) {
     EXPECT_EQ(run(true), run(false));
 }
 
-TEST(CosimTest, SerialLoopToHost) {
+TEST_F(CosimTest, SerialLoopToHost) {
     sysc::Kernel k;
     TKernel tk{k};
     bfm::Bfm8051 bfm(tk.sim());

@@ -66,9 +66,9 @@ ScenarioOutput run_three_task_scenario() {
     PriorityPreemptiveScheduler sched;
     SimApi api{kernel, sched};
 
-    sysc::Signal<std::uint8_t> active("active_task", 0);
+    sysc::Signal<std::uint8_t> active(kernel, "active_task", 0);
     {
-        sysc::TraceFile trace(vcd_path, Time::us(1));
+        sysc::TraceFile trace(kernel, vcd_path, Time::us(1));
         trace.trace(active);
         trace.trace_value("dispatches", 8,
                           [&] { return api.total_dispatches(); });

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,15 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PriorityOrderSweep, ::testing::Values(2, 5, 13, 
 
 enum class Policy { priority, round_robin };
 
+const char* policy_name(Policy p) {
+    return p == Policy::priority ? "PriorityPreemptive" : "RoundRobin";
+}
+
+// Keeps the listed test names readable (gtest would dump the enum bytes).
+void PrintTo(Policy p, std::ostream* os) {
+    *os << policy_name(p);
+}
+
 class SchedulerInvariantTest : public ::testing::TestWithParam<Policy> {
 protected:
     SchedulerInvariantTest() {
@@ -247,9 +257,7 @@ TEST_P(SchedulerInvariantTest, PeekMatchesPickWithoutDequeuing) {
 INSTANTIATE_TEST_SUITE_P(Policies, SchedulerInvariantTest,
                          ::testing::Values(Policy::priority, Policy::round_robin),
                          [](const auto& param_info) {
-                             return param_info.param == Policy::priority
-                                        ? "PriorityPreemptive"
-                                        : "RoundRobin";
+                             return std::string(policy_name(param_info.param));
                          });
 
 // ---- priority-policy-specific invariants -----------------------------------

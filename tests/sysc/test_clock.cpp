@@ -11,14 +11,14 @@ protected:
 };
 
 TEST_F(ClockTest, PosedgeCountMatchesPeriods) {
-    Clock clk("clk", Time::us(10));
+    Clock clk(k, "clk", Time::us(10));
     k.run_until(Time::us(95));
     // Posedges at 0, 10, ..., 90 -> 10 edges.
     EXPECT_EQ(clk.posedge_count(), 10u);
 }
 
 TEST_F(ClockTest, EdgesObservableViaEvents) {
-    Clock clk("clk", Time::us(10));
+    Clock clk(k, "clk", Time::us(10));
     std::vector<Time> edges;
     k.spawn("watch", [&] {
         for (int i = 0; i < 3; ++i) {
@@ -34,7 +34,7 @@ TEST_F(ClockTest, EdgesObservableViaEvents) {
 }
 
 TEST_F(ClockTest, DutyCycle) {
-    Clock clk("clk", Time::us(10), 30);  // high 3 us, low 7 us
+    Clock clk(k, "clk", Time::us(10), 30);  // high 3 us, low 7 us
     Time high_end, low_end;
     k.spawn("watch", [&] {
         wait(clk.signal().negedge_event());
@@ -48,7 +48,7 @@ TEST_F(ClockTest, DutyCycle) {
 }
 
 TEST_F(ClockTest, StartDelay) {
-    Clock clk("clk", Time::us(10), 50, Time::us(7));
+    Clock clk(k, "clk", Time::us(10), 50, Time::us(7));
     Time first_edge;
     k.spawn("watch", [&] {
         wait(clk.posedge_event());
@@ -59,12 +59,12 @@ TEST_F(ClockTest, StartDelay) {
 }
 
 TEST_F(ClockTest, ZeroPeriodIsFatal) {
-    EXPECT_THROW(Clock("bad", Time::zero()), SimError);
+    EXPECT_THROW(Clock(k, "bad", Time::zero()), SimError);
 }
 
 TEST_F(ClockTest, BadDutyIsFatal) {
-    EXPECT_THROW(Clock("bad", Time::us(1), 0), SimError);
-    EXPECT_THROW(Clock("bad2", Time::us(1), 100), SimError);
+    EXPECT_THROW(Clock(k, "bad", Time::us(1), 0), SimError);
+    EXPECT_THROW(Clock(k, "bad2", Time::us(1), 100), SimError);
 }
 
 }  // namespace

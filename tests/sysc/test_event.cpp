@@ -11,7 +11,7 @@ protected:
 };
 
 TEST_F(EventTest, ImmediateNotificationWakesWaiterSameTimestamp) {
-    Event e("e");
+    Event e(k, "e");
     Time woke_at = Time::max();
     k.spawn("waiter", [&] {
         wait(e);
@@ -26,7 +26,7 @@ TEST_F(EventTest, ImmediateNotificationWakesWaiterSameTimestamp) {
 }
 
 TEST_F(EventTest, TimedNotificationArrivesAtRightTime) {
-    Event e("e");
+    Event e(k, "e");
     Time woke_at;
     k.spawn("waiter", [&] {
         wait(e);
@@ -38,7 +38,7 @@ TEST_F(EventTest, TimedNotificationArrivesAtRightTime) {
 }
 
 TEST_F(EventTest, EarlierNotificationOverridesLater) {
-    Event e("e");
+    Event e(k, "e");
     Time woke_at;
     int wakes = 0;
     k.spawn("waiter", [&] {
@@ -54,7 +54,7 @@ TEST_F(EventTest, EarlierNotificationOverridesLater) {
 }
 
 TEST_F(EventTest, LaterNotificationIsIgnoredWhileEarlierPends) {
-    Event e("e");
+    Event e(k, "e");
     Time woke_at;
     k.spawn("waiter", [&] {
         wait(e);
@@ -67,7 +67,7 @@ TEST_F(EventTest, LaterNotificationIsIgnoredWhileEarlierPends) {
 }
 
 TEST_F(EventTest, CancelRemovesPendingNotification) {
-    Event e("e");
+    Event e(k, "e");
     bool woke = false;
     k.spawn("waiter", [&] {
         wait(e);
@@ -80,7 +80,7 @@ TEST_F(EventTest, CancelRemovesPendingNotification) {
 }
 
 TEST_F(EventTest, DeltaNotificationWakesWithoutTimeAdvance) {
-    Event e("e");
+    Event e(k, "e");
     bool woke = false;
     std::uint64_t woke_delta = 0;
     k.spawn("waiter", [&] {
@@ -95,7 +95,7 @@ TEST_F(EventTest, DeltaNotificationWakesWithoutTimeAdvance) {
 }
 
 TEST_F(EventTest, ZeroDelayNotifyIsDelta) {
-    Event e("e");
+    Event e(k, "e");
     bool woke = false;
     k.spawn("waiter", [&] {
         wait(e);
@@ -108,7 +108,7 @@ TEST_F(EventTest, ZeroDelayNotifyIsDelta) {
 }
 
 TEST_F(EventTest, MultipleWaitersAllWake) {
-    Event e("e");
+    Event e(k, "e");
     int woke = 0;
     for (int i = 0; i < 5; ++i) {
         k.spawn("w" + std::to_string(i), [&] {
@@ -122,7 +122,7 @@ TEST_F(EventTest, MultipleWaitersAllWake) {
 }
 
 TEST_F(EventTest, NotifyWithoutWaitersIsLost) {
-    Event e("e");
+    Event e(k, "e");
     e.notify();  // immediate, nobody waiting: lost per SystemC semantics
     bool woke = false;
     k.spawn("late", [&] {
@@ -134,7 +134,7 @@ TEST_F(EventTest, NotifyWithoutWaitersIsLost) {
 }
 
 TEST_F(EventTest, WaitAnyReturnsWinningIndex) {
-    Event a("a"), b("b");
+    Event a(k, "a"), b(k, "b");
     std::size_t winner = 99;
     k.spawn("waiter", [&] { winner = wait_any({&a, &b}); });
     b.notify(Time::us(1));
@@ -143,7 +143,7 @@ TEST_F(EventTest, WaitAnyReturnsWinningIndex) {
 }
 
 TEST_F(EventTest, WaitAnyDeregistersFromLosers) {
-    Event a("a"), b("b");
+    Event a(k, "a"), b(k, "b");
     k.spawn("waiter", [&] { wait_any({&a, &b}); });
     a.notify(Time::us(1));
     k.run();
@@ -152,7 +152,7 @@ TEST_F(EventTest, WaitAnyDeregistersFromLosers) {
 }
 
 TEST_F(EventTest, TimedWaitTimesOut) {
-    Event e("e");
+    Event e(k, "e");
     bool got_event = true;
     k.spawn("waiter", [&] { got_event = wait(Time::ms(5), e); });
     k.run();
@@ -161,7 +161,7 @@ TEST_F(EventTest, TimedWaitTimesOut) {
 }
 
 TEST_F(EventTest, TimedWaitGetsEventBeforeTimeout) {
-    Event e("e");
+    Event e(k, "e");
     bool got_event = false;
     k.spawn("waiter", [&] { got_event = wait(Time::ms(5), e); });
     e.notify(Time::ms(2));
@@ -170,7 +170,7 @@ TEST_F(EventTest, TimedWaitGetsEventBeforeTimeout) {
 }
 
 TEST_F(EventTest, PendingStateIsObservable) {
-    Event e("e");
+    Event e(k, "e");
     EXPECT_EQ(e.pending(), Event::Pending::none);
     e.notify(Time::ms(1));
     EXPECT_EQ(e.pending(), Event::Pending::timed);
@@ -182,7 +182,7 @@ TEST_F(EventTest, PendingStateIsObservable) {
 }
 
 TEST_F(EventTest, NotifyFromOutsideProcessContextWorks) {
-    Event e("e");
+    Event e(k, "e");
     bool woke = false;
     k.spawn("waiter", [&] {
         wait(e);

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sysc/sysc.hpp"
@@ -23,7 +25,7 @@ TEST_F(KernelTest, RunUntilSetsNowEvenWithoutActivity) {
 
 TEST_F(KernelTest, RunUntilProcessesActivityAtBoundary) {
     bool fired = false;
-    Event e("e");
+    Event e(k, "e");
     k.spawn("w", [&] {
         wait(e);
         fired = true;
@@ -35,7 +37,7 @@ TEST_F(KernelTest, RunUntilProcessesActivityAtBoundary) {
 
 TEST_F(KernelTest, RunUntilDoesNotProcessBeyondBoundary) {
     bool fired = false;
-    Event e("e");
+    Event e(k, "e");
     k.spawn("w", [&] {
         wait(e);
         fired = true;
@@ -75,7 +77,7 @@ TEST_F(KernelTest, StopEndsRunEarly) {
 
 TEST_F(KernelTest, IdleReportsNoActivity) {
     EXPECT_TRUE(k.idle());
-    Event e("e");
+    Event e(k, "e");
     k.spawn("w", [&] { wait(e); });
     k.run_until(Time::us(1));
     EXPECT_TRUE(k.idle());  // waiting process with no pending notification
@@ -85,13 +87,13 @@ TEST_F(KernelTest, IdleReportsNoActivity) {
 
 TEST_F(KernelTest, NextActivityAt) {
     EXPECT_EQ(k.next_activity_at(), Time::max());
-    Event e("e");
+    Event e(k, "e");
     e.notify(Time::ms(4));
     EXPECT_EQ(k.next_activity_at(), Time::ms(4));
 }
 
 TEST_F(KernelTest, DeltaCountAdvancesPerDeltaCycle) {
-    Event e("e");
+    Event e(k, "e");
     k.spawn("w", [&] {
         for (int i = 0; i < 3; ++i) {
             wait(e);
@@ -103,15 +105,6 @@ TEST_F(KernelTest, DeltaCountAdvancesPerDeltaCycle) {
         k.run();
     }
     EXPECT_GE(k.delta_count(), d0 + 3);
-}
-
-TEST_F(KernelTest, CurrentKernelIsThreadLocalStack) {
-    EXPECT_EQ(&Kernel::current(), &k);
-    {
-        Kernel inner;
-        EXPECT_EQ(&Kernel::current(), &inner);
-    }
-    EXPECT_EQ(&Kernel::current(), &k);
 }
 
 TEST_F(KernelTest, TimestepHooksRunAfterDeltas) {
@@ -130,7 +123,7 @@ TEST_F(KernelTest, EqualTimestampNotificationsTriggerInNotifyOrder) {
     std::vector<int> order;
     std::vector<std::unique_ptr<Event>> events;
     for (int i = 0; i < 8; ++i) {
-        events.push_back(std::make_unique<Event>("e" + std::to_string(i)));
+        events.push_back(std::make_unique<Event>(k, "e" + std::to_string(i)));
         Event* e = events.back().get();
         k.spawn("w" + std::to_string(i), [&order, e, i] {
             wait(*e);
@@ -147,7 +140,7 @@ TEST_F(KernelTest, EqualTimestampNotificationsTriggerInNotifyOrder) {
 }
 
 TEST_F(KernelTest, CancelledTimedNotificationNeverFiresAndClearsActivity) {
-    Event e("e");
+    Event e(k, "e");
     bool fired = false;
     k.spawn("w", [&] {
         wait(e);
@@ -163,7 +156,7 @@ TEST_F(KernelTest, CancelledTimedNotificationNeverFiresAndClearsActivity) {
 }
 
 TEST_F(KernelTest, RenotifyAfterCancelReusesTheSlotAtTheNewTime) {
-    Event e("e");
+    Event e(k, "e");
     Time fired_at;
     k.spawn("w", [&] {
         wait(e);
@@ -182,7 +175,7 @@ TEST_F(KernelTest, ManyTimedNotificationsFireInTimestampOrder) {
     std::vector<std::unique_ptr<Event>> events;
     // Deterministically shuffled deadlines 1..32 ms.
     for (int i = 0; i < 32; ++i) {
-        events.push_back(std::make_unique<Event>("e" + std::to_string(i)));
+        events.push_back(std::make_unique<Event>(k, "e" + std::to_string(i)));
         Event* e = events.back().get();
         const int ms = 1 + (i * 11) % 32;
         k.spawn("w" + std::to_string(i), [&fired, e, ms] {
@@ -202,7 +195,7 @@ TEST_F(KernelTest, DestructionWithLiveProcessesIsClean) {
     // Regression: destroying a kernel with suspended processes (including
     // ones holding timed notifications) must not touch freed queues.
     auto inner = std::make_unique<Kernel>();
-    auto e = std::make_unique<Event>("e");
+    auto e = std::make_unique<Event>(*inner, "e");
     inner->spawn("a", [&] {
         for (;;) {
             wait(*e);
@@ -221,45 +214,68 @@ TEST_F(KernelTest, DestructionWithLiveProcessesIsClean) {
 
 // ---- multi-instance lifecycle (context-explicit API) ------------------------
 
-TEST_F(KernelTest, OutOfOrderDestructionKeepsCurrentCoherent) {
-    // Regression: the destructor used to restore its construction-time
-    // predecessor unconditionally, so destroying kernels in non-LIFO order
-    // left current() pointing at a dead kernel.
-    auto k1 = std::make_unique<Kernel>();
-    auto k2 = std::make_unique<Kernel>();
-    auto k3 = std::make_unique<Kernel>();
-    EXPECT_EQ(Kernel::current_or_null(), k3.get());
-    k2.reset();  // middle of the chain
-    EXPECT_EQ(Kernel::current_or_null(), k3.get());
-    k3.reset();  // head: falls back past the unlinked middle
-    EXPECT_EQ(Kernel::current_or_null(), k1.get());
-    k1.reset();
-    EXPECT_EQ(Kernel::current_or_null(), &k);  // the fixture kernel again
-}
+TEST_F(KernelTest, KernelsDestroyedInAnyOrderKeepRunningTheirOwnProcesses) {
+    // Three kernels on one thread, each with a ticking process and an
+    // event-driven one. Destroying the middle kernel, then the oldest,
+    // must leave the survivors advancing only their own processes.
+    struct World {
+        Kernel kernel;
+        Event go{kernel, "go"};
+        int ticks = 0;
+        int woken = 0;
+        const Kernel* seen = nullptr;
+        Process* waiter = nullptr;
+        ~World() { waiter->kill(); }  // before `go` dies under it
+    };
+    std::vector<std::unique_ptr<World>> worlds;
+    for (int i = 0; i < 3; ++i) {
+        worlds.push_back(std::make_unique<World>());
+        World* w = worlds.back().get();
+        w->kernel.spawn("tick", [w] {
+            for (;;) {
+                wait(Time::ms(1));
+                ++w->ticks;
+                w->seen = &Kernel::current();
+            }
+        });
+        w->waiter = &w->kernel.spawn("waiter", [w] {
+            for (;;) {
+                wait(w->go);
+                ++w->woken;
+            }
+        });
+    }
+    auto advance = [&](Time until) {
+        for (auto& w : worlds) {
+            if (w) {
+                w->go.notify(Time::us(500));
+                w->kernel.run_until(until);
+            }
+        }
+    };
+    advance(Time::ms(2));
+    worlds[1].reset();  // the middle kernel dies first
+    advance(Time::ms(4));
+    EXPECT_EQ(worlds[0]->ticks, 4);
+    EXPECT_EQ(worlds[0]->woken, 2);
+    EXPECT_EQ(worlds[0]->seen, &worlds[0]->kernel);
+    worlds[0].reset();  // then the oldest
+    advance(Time::ms(6));
 
-TEST_F(KernelTest, DestroyingOldestFirstKeepsNewestCurrent) {
-    auto k1 = std::make_unique<Kernel>();
-    auto k2 = std::make_unique<Kernel>();
-    k1.reset();
-    EXPECT_EQ(Kernel::current_or_null(), k2.get());
-    // The survivor still works: events and processes bind to it.
-    bool ran = false;
-    Event e(*k2, "e");
-    k2->spawn("w", [&] {
-        wait(e);
-        ran = true;
-    });
-    e.notify(Time::ms(1));
-    k2->run();
-    EXPECT_TRUE(ran);
+    const World& last = *worlds[2];
+    EXPECT_EQ(last.ticks, 6);
+    EXPECT_EQ(last.woken, 3);
+    EXPECT_EQ(last.seen, &last.kernel);
+    EXPECT_EQ(last.kernel.now(), Time::ms(6));
+    EXPECT_EQ(k.process_count(), 0u);  // nothing leaked onto the fixture
+    worlds[2].reset();
 }
 
 TEST_F(KernelTest, RunBindsTheExecutingKernelAsCurrent) {
-    // Two live kernels on one thread: while `older` runs, ambient-context
-    // code inside its processes must resolve to it, not to the most
-    // recently constructed kernel.
+    // Two live kernels on one thread: while `k` runs, current() inside
+    // its processes must resolve to it, not to the more recently
+    // constructed kernel.
     Kernel newer;
-    EXPECT_EQ(&Kernel::current(), &newer);
     const Kernel* seen = nullptr;
     k.spawn("probe", [&] {
         wait(Time::ms(1));
@@ -267,13 +283,12 @@ TEST_F(KernelTest, RunBindsTheExecutingKernelAsCurrent) {
     });
     k.run_until(Time::ms(2));
     EXPECT_EQ(seen, &k);
-    EXPECT_EQ(&Kernel::current(), &newer);  // binding restored after run
 }
 
 TEST_F(KernelTest, SpawnBindsTheOwningKernel) {
     Kernel newer;
-    // Spawning on `k` while `newer` is the ambient kernel: the process
-    // and its internal events must belong to `k`.
+    // Spawning on `k` while `newer` is the most recent kernel: the
+    // process and its internal events must belong to `k`.
     bool ran = false;
     k.spawn("w", [&] {
         wait(Time::ms(1));
@@ -285,16 +300,90 @@ TEST_F(KernelTest, SpawnBindsTheOwningKernel) {
     EXPECT_EQ(newer.process_count(), 0u);
 }
 
-TEST(KernelLifecycleDeathTest, CrossThreadDestructionIsFatal) {
+TEST(KernelThreadTest, BuiltOnOneThreadRunsAndDiesOnAnother) {
+    // A kernel belongs to no thread: thread A builds it with processes,
+    // events, a signal and a clock; thread B runs it, then destroys it
+    // with processes still suspended (their stacks unwind on B).
+    struct World {
+        Kernel kernel;
+        Event go{kernel, "go"};
+        Signal<int> level{kernel, "level", 0};
+        Clock clk{kernel, "clk", Time::us(100)};
+        std::vector<Time> woke;
+        int last_level = -1;
+        const Kernel* seen = nullptr;
+        std::vector<Process*> listeners;
+        ~World() {
+            for (Process* p : listeners) {
+                p->kill();  // before the events they wait on die
+            }
+        }
+    };
+    std::unique_ptr<World> world;
+    std::thread a([&world] {
+        world = std::make_unique<World>();
+        World* w = world.get();
+        w->kernel.spawn("driver", [w] {
+            for (int i = 1; i <= 3; ++i) {
+                wait(Time::ms(1));
+                w->level.write(i);
+                w->go.notify();
+            }
+        });
+        w->listeners.push_back(&w->kernel.spawn("waiter", [w] {
+            for (;;) {
+                wait(w->go);
+                w->woke.push_back(now());
+                w->seen = &Kernel::current();
+            }
+        }));
+        w->listeners.push_back(&w->kernel.spawn("sampler", [w] {
+            for (;;) {
+                wait(w->level.value_changed_event());
+                w->last_level = w->level.read();
+            }
+        }));
+    });
+    a.join();
+
+    std::vector<Time> woke;
+    int last_level = -1;
+    bool seen_own_kernel = false;
+    std::uint64_t posedges = 0;
+    std::thread b([&] {
+        world->kernel.run_until(Time::ms(5));
+        woke = world->woke;
+        last_level = world->last_level;
+        seen_own_kernel = world->seen == &world->kernel;
+        posedges = world->clk.posedge_count();
+        world.reset();
+    });
+    b.join();
+
+    EXPECT_EQ(world, nullptr);
+    EXPECT_EQ(woke, (std::vector<Time>{Time::ms(1), Time::ms(2), Time::ms(3)}));
+    EXPECT_EQ(last_level, 3);
+    EXPECT_TRUE(seen_own_kernel);
+    EXPECT_EQ(posedges, 51u);  // edges at 0, 100 us, ..., 5 ms
+}
+
+TEST(KernelContextDeathTest, CurrentOutsideAnyRunIsFatal) {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            Kernel* stray = nullptr;
-            std::thread t([&stray] { stray = new Kernel(); });
-            t.join();
-            delete stray;  // not on this thread's chain: must abort
-        },
-        "different thread");
+    // A live kernel that is not running does not make current() answer.
+    Kernel idle;
+    std::vector<std::string> fatals;
+    auto prev = set_report_handler([&](Severity sev, std::string_view, std::string_view msg) {
+        if (sev == Severity::fatal) {
+            fatals.emplace_back(msg);
+        }
+    });
+    EXPECT_THROW(Kernel::current(), SimError);
+    set_report_handler(std::move(prev));
+    ASSERT_EQ(fatals.size(), 1u);
+    EXPECT_EQ(fatals[0], "no simulation kernel is running on this thread");
+    // Unhandled, the fatal report ends the program.
+    EXPECT_DEATH([]() noexcept { (void)Kernel::current(); }(),
+                 "no simulation kernel is running on this thread");
 }
 
 }  // namespace

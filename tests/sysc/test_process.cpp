@@ -43,7 +43,7 @@ TEST_F(ProcessTest, WaitAdvancesTime) {
 }
 
 TEST_F(ProcessTest, StateTransitions) {
-    Event e("e");
+    Event e(k, "e");
     Process& p = k.spawn("p", [&] { wait(e); });
     EXPECT_EQ(p.state(), Process::State::runnable);
     k.run_until(Time::us(1));

@@ -11,12 +11,12 @@ protected:
 };
 
 TEST_F(SignalTest, InitialValue) {
-    Signal<int> s("s", 42);
+    Signal<int> s(k, "s", 42);
     EXPECT_EQ(s.read(), 42);
 }
 
 TEST_F(SignalTest, WriteTakesEffectInUpdatePhase) {
-    Signal<int> s("s", 0);
+    Signal<int> s(k, "s", 0);
     int seen_during_eval = -1;
     k.spawn("writer", [&] {
         s.write(7);
@@ -28,7 +28,7 @@ TEST_F(SignalTest, WriteTakesEffectInUpdatePhase) {
 }
 
 TEST_F(SignalTest, LastWriteWins) {
-    Signal<int> s("s", 0);
+    Signal<int> s(k, "s", 0);
     k.spawn("writer", [&] {
         s.write(1);
         s.write(2);
@@ -39,7 +39,7 @@ TEST_F(SignalTest, LastWriteWins) {
 }
 
 TEST_F(SignalTest, ValueChangedEventFires) {
-    Signal<int> s("s", 0);
+    Signal<int> s(k, "s", 0);
     int observed = -1;
     k.spawn("watcher", [&] {
         wait(s.value_changed_event());
@@ -54,7 +54,7 @@ TEST_F(SignalTest, ValueChangedEventFires) {
 }
 
 TEST_F(SignalTest, NoEventWhenValueUnchanged) {
-    Signal<int> s("s", 5);
+    Signal<int> s(k, "s", 5);
     bool woke = false;
     k.spawn("watcher", [&] {
         wait(s.value_changed_event());
@@ -67,7 +67,7 @@ TEST_F(SignalTest, NoEventWhenValueUnchanged) {
 }
 
 TEST_F(SignalTest, BoolEdges) {
-    Signal<bool> s("s", false);
+    Signal<bool> s(k, "s", false);
     int pos = 0, neg = 0;
     k.spawn("pos", [&] {
         for (;;) {
@@ -95,7 +95,7 @@ TEST_F(SignalTest, BoolEdges) {
 }
 
 TEST_F(SignalTest, ChangeCountAndTimestamp) {
-    Signal<int> s("s", 0);
+    Signal<int> s(k, "s", 0);
     k.spawn("writer", [&] {
         wait(Time::ms(2));
         s.write(1);
@@ -108,7 +108,7 @@ TEST_F(SignalTest, ChangeCountAndTimestamp) {
 }
 
 TEST_F(SignalTest, ReadersSeeNewValueOneDeltalater) {
-    Signal<int> s("s", 0);
+    Signal<int> s(k, "s", 0);
     std::vector<int> seen;
     k.spawn("watcher", [&] {
         for (int i = 0; i < 2; ++i) {

@@ -28,9 +28,9 @@ protected:
 
 TEST_F(TraceTest, WritesHeaderAndChanges) {
     Kernel k;
-    Signal<bool> s("sig", false);
+    Signal<bool> s(k, "sig", false);
     {
-        TraceFile tf(path());
+        TraceFile tf(k, path());
         tf.trace(s);
         k.spawn("drv", [&] {
             wait(Time::ns(5));
@@ -52,9 +52,9 @@ TEST_F(TraceTest, WritesHeaderAndChanges) {
 
 TEST_F(TraceTest, MultiBitVectors) {
     Kernel k;
-    Signal<std::uint8_t> s("bus", 0);
+    Signal<std::uint8_t> s(k, "bus", 0);
     {
-        TraceFile tf(path());
+        TraceFile tf(k, path());
         tf.trace(s);
         k.spawn("drv", [&] {
             wait(Time::ns(1));
@@ -71,7 +71,7 @@ TEST_F(TraceTest, TraceValueProbesPlainVariables) {
     Kernel k;
     int counter = 0;
     {
-        TraceFile tf(path());
+        TraceFile tf(k, path());
         tf.trace_value("counter", 16,
                        [&] { return static_cast<std::uint64_t>(counter); });
         k.spawn("drv", [&] {
@@ -90,10 +90,10 @@ TEST_F(TraceTest, TraceValueProbesPlainVariables) {
 
 TEST_F(TraceTest, NoDuplicateDumpsForUnchangedValues) {
     Kernel k;
-    Signal<bool> s("sig", false);
+    Signal<bool> s(k, "sig", false);
     std::uint64_t changes = 0;
     {
-        TraceFile tf(path());
+        TraceFile tf(k, path());
         tf.trace(s);
         k.spawn("drv", [&] {
             for (int i = 0; i < 10; ++i) {
@@ -108,8 +108,8 @@ TEST_F(TraceTest, NoDuplicateDumpsForUnchangedValues) {
 
 TEST_F(TraceTest, RegistrationAfterStartIsFatal) {
     Kernel k;
-    Signal<bool> a("a", false), b("b", false);
-    TraceFile tf(path());
+    Signal<bool> a(k, "a", false), b(k, "b", false);
+    TraceFile tf(k, path());
     tf.trace(a);
     k.spawn("drv", [&] { a.write(true); });
     k.run();

@@ -136,7 +136,7 @@ TEST_F(IntTest, IsrWakesTaskViaDelayedDispatch) {
 
 TEST_F(IntTest, AttachInterruptLineDeliversEvents) {
     int hits = 0;
-    sysc::Event irq("board.irq");
+    sysc::Event irq(k, "board.irq");
     tk.attach_interrupt_line(irq, 4);
     boot_and_run([&] {
         T_DINT d;
