@@ -286,9 +286,7 @@ Json skipped_fault_record(const Job& job, const std::string& reason) {
 /// run_fault_campaign sampler, no shared RNG threads through the whole
 /// corpus, so any shard can compute any job independently.
 fault::FaultSpec make_fault_spec(const Manifest& m, const Job& job,
-                                 const fuzz::FuzzSpec& workload,
-                                 const fault::BaselineProfile& base,
-                                 std::uint64_t space) {
+                                 const fuzz::FuzzSpec& workload, std::uint64_t space) {
     fault::FaultSpec f;
     f.workload = workload;
     f.cls = fault::all_fault_classes()[job.injection % fault::fault_class_count];
@@ -340,7 +338,7 @@ Json run_job(const Manifest& m, const Job& job, BaselineCache& cache) {
     if (space == 0) {
         return skipped_fault_record(job, "no injection sites");
     }
-    const fault::FaultSpec f = make_fault_spec(m, job, workload, base, space);
+    const fault::FaultSpec f = make_fault_spec(m, job, workload, space);
     const fault::InjectionResult r = fault::run_injection(f, base);
     return fault_result_record(job.id, f, r);
 }

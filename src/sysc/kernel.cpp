@@ -213,7 +213,7 @@ void Kernel::make_runnable(Process& p, Event* cause) {
     }
 }
 
-void Kernel::do_wait(const std::vector<Event*>& events) {
+void Kernel::do_wait(std::span<Event* const> events) {
     Process* p = current_process_;
     if (p == nullptr) {
         report(Severity::fatal, "kernel", "wait() outside any simulation process");
@@ -221,7 +221,7 @@ void Kernel::do_wait(const std::vector<Event*>& events) {
     if (events.empty()) {
         report(Severity::fatal, "kernel", "wait() on an empty event set would never wake");
     }
-    p->waiting_on_ = events;
+    p->waiting_on_.assign(events.begin(), events.end());
     for (Event* e : events) {
         e->waiters_.push_back(p);
     }
@@ -342,8 +342,46 @@ void Kernel::advance_to(Time t) {
     }
 }
 
+bool Kernel::try_elide_wait(Process& p, Time d) {
+    // Without elision the caller's delta cycle would end with nothing
+    // else to run, and the scheduler would advance straight to now+d and
+    // resume only the caller. Every guard below rules out something that
+    // could happen in between or that sees the skipped cycle: another
+    // process or queued update/delta notification, a stop() or budget
+    // exhaustion at the cycle's end, a timestep hook, an earlier pending
+    // wake of the caller, the run_until limit, or a timed entry due no
+    // later than now+d (on a tie, the older entry runs first). A process
+    // unwinding from kill() is no longer running; its wait must throw.
+    if (!run_limit_ || p.state_ != Process::State::running ||
+        !runnable_.empty() || !update_queue_.empty() || !delta_queue_.empty() ||
+        stop_requested_ || !timestep_hooks_.empty() ||
+        p.timeout_ev_.pending_ != Event::Pending::none || delta_budget_ == 1) {
+        return false;
+    }
+    const Time at = now_ + d;
+    if (*run_limit_ < at) {
+        return false;
+    }
+    const TimedEntry* top = first_fresh_timed();
+    if (top != nullptr && !(at < top->at)) {
+        return false;
+    }
+    now_ = at;
+    ++delta_count_;  // the delta cycle that would have ended here
+    if (delta_budget_ != 0) {
+        --delta_budget_;
+    }
+    p.triggered_by_ = &p.timeout_ev_;
+    return true;
+}
+
 void Kernel::run_loop(Time limit) {
     Bind bind(*this);  // model code inside processes resolves current() to us
+    run_limit_ = limit;
+    struct ClearLimit {
+        std::optional<Time>& limit;
+        ~ClearLimit() { limit.reset(); }
+    } clear_limit{run_limit_};
     stop_requested_ = false;
     if (delta_budget_exhausted_) {
         return;

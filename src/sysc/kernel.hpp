@@ -11,6 +11,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,7 +83,9 @@ public:
     /// `.rtktrace` captures — it never goes backwards within a run.
     Time now() const { return now_; }
     /// Total delta cycles executed; stamped into the trace footer as a
-    /// cheap whole-run progress fingerprint.
+    /// cheap whole-run progress fingerprint. A timed wait the kernel
+    /// elides (see wait(Time)) counts the delta cycle it skipped, so the
+    /// count is the same as if every wait had gone through the scheduler.
     std::uint64_t delta_count() const { return delta_count_; }
     Process* running_process() const { return current_process_; }
     std::size_t process_count() const { return processes_.size(); }
@@ -110,10 +114,12 @@ public:
     void schedule_timed(Event& e, Time at);
     void forget_event(Event& e);
     void make_runnable(Process& p, Event* cause);
-    void do_wait(const std::vector<Event*>& events);
+    void do_wait(std::span<Event* const> events);
     void kill_process(Process& p);
 
 private:
+    friend void wait(Time);
+
     /// RAII binding of this kernel as the thread's executing kernel,
     /// around every entry into the simulation.
     class Bind {
@@ -142,6 +148,11 @@ private:
     bool crunch();  ///< one evaluate+update+delta-notify cycle
     void run_process(Process& p);
     void advance_to(Time t);
+    /// wait(d) by the running process `p` without a scheduler round trip:
+    /// when nothing else can happen before now+d, advance the clock in
+    /// place and do the skipped delta cycle's bookkeeping. Returns false
+    /// (changing nothing) when any guard fails; the caller then waits.
+    bool try_elide_wait(Process& p, Time d);
 
     // ---- timed-heap plumbing (operates on the mutable timed_) ----
     static bool timed_before(const TimedEntry& a, const TimedEntry& b);
@@ -161,6 +172,9 @@ private:
     bool stop_requested_ = false;
     std::uint64_t delta_budget_ = 0;  ///< remaining deltas; 0 = unlimited
     bool delta_budget_exhausted_ = false;
+    /// The enclosing run_loop's limit; empty outside run()/run_until(),
+    /// so step_delta() and teardown never elide a wait.
+    std::optional<Time> run_limit_;
 
     /// Declared before processes_: dying processes hand their coroutine
     /// stacks back to the pool, so it must outlive them.

@@ -38,19 +38,25 @@ Process& require_current_process() {
 }  // namespace
 
 void wait(Event& e) {
-    Kernel::current().do_wait({&e});
+    Event* const set[] = {&e};
+    Kernel::current().do_wait(set);
 }
 
 void wait(Time d) {
     Process& p = require_current_process();
-    p.timeout_ev_.notify(d.is_zero() ? Time::zero() : d);
-    Kernel::current().do_wait({&p.timeout_ev_});
+    if (p.kernel_.try_elide_wait(p, d)) {
+        return;
+    }
+    p.timeout_ev_.notify(d);
+    Event* const set[] = {&p.timeout_ev_};
+    p.kernel_.do_wait(set);
 }
 
 bool wait(Time d, Event& e) {
     Process& p = require_current_process();
     p.timeout_ev_.notify(d);
-    Kernel::current().do_wait({&p.timeout_ev_, &e});
+    Event* const set[] = {&p.timeout_ev_, &e};
+    p.kernel_.do_wait(set);
     const bool got_event = (p.triggered_by_ == &e);
     if (got_event) {
         p.timeout_ev_.cancel();
@@ -88,7 +94,8 @@ std::size_t wait_any(Time d, const std::vector<Event*>& events) {
 void wait_delta() {
     Process& p = require_current_process();
     p.timeout_ev_.notify_delta();
-    Kernel::current().do_wait({&p.timeout_ev_});
+    Event* const set[] = {&p.timeout_ev_};
+    p.kernel_.do_wait(set);
 }
 
 Time now() {

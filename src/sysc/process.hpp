@@ -79,7 +79,12 @@ struct SpawnOptions {
 /// Suspend until `e` is notified.
 void wait(Event& e);
 
-/// Suspend for a simulated duration.
+/// Suspend for a simulated duration. When no other process, queued
+/// update, delta notification or timed entry can act before now()+d
+/// (and no stop(), timestep hook, run_until limit or delta budget would
+/// see the cycle end), the kernel elides the wait: it advances the clock
+/// in place and counts the skipped delta cycle, without a coroutine
+/// switch. The run is the same either way, delta_count() included.
 void wait(Time d);
 
 /// Suspend until `e` or until `d` elapses; returns true if the event fired

@@ -21,6 +21,7 @@
 
 #include "harness/campaign.hpp"
 #include "harness/campaign_engine.hpp"
+#include "scratch_dir.hpp"
 
 namespace fs = std::filesystem;
 using namespace rtk;
@@ -29,12 +30,6 @@ using namespace rtk::harness;
 #ifdef RTK_CAMPAIGN_TOOL
 
 namespace {
-
-std::string fresh_dir(const std::string& name) {
-    const std::string dir = "campaign_crash_tests/" + name;
-    fs::remove_all(dir);
-    return dir;
-}
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -102,12 +97,13 @@ bool kill_one_shard_mid_flight(const std::string& dir, std::size_t total,
 }  // namespace
 
 TEST(CrashRecovery, ResumeAfterSigkillIsByteIdentical) {
+    const test_support::ScratchDir scratch;
     const campaign::Manifest m = crash_manifest();
     std::string error;
 
     // Control: the same campaign, never interrupted (one in-process
     // shard -- determinism across shard counts is covered elsewhere).
-    const std::string control = fresh_dir("control");
+    const std::string control = scratch.path("control");
     ASSERT_TRUE(campaign::init_campaign(control, m, &error)) << error;
     campaign::EngineOptions inproc;
     inproc.shards = 1;
@@ -123,7 +119,7 @@ TEST(CrashRecovery, ResumeAfterSigkillIsByteIdentical) {
     std::size_t done_after_kill = 0;
     bool mid_flight = false;
     for (int attempt = 0; attempt < 3 && !mid_flight; ++attempt) {
-        dir = fresh_dir("victim" + std::to_string(attempt));
+        dir = scratch.path("victim" + std::to_string(attempt));
         ASSERT_TRUE(campaign::init_campaign(dir, m, &error)) << error;
         mid_flight =
             kill_one_shard_mid_flight(dir, m.total_jobs(), done_after_kill);

@@ -1,6 +1,5 @@
 // The campaign model and engine, in-process: manifest round-trips, job
 // ordering, record determinism, round bookkeeping and the merged report.
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -9,20 +8,12 @@
 
 #include "harness/campaign.hpp"
 #include "harness/campaign_engine.hpp"
+#include "scratch_dir.hpp"
 
-namespace fs = std::filesystem;
 using namespace rtk;
 using namespace rtk::harness;
 
 namespace {
-
-std::string fresh_dir(const std::string& name) {
-    const std::string dir = "campaign_engine_tests/" + name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    fs::remove_all(dir);  // init_campaign wants to create it itself
-    return dir;
-}
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -93,7 +84,8 @@ TEST(Jobs, FaultGridCoversCorpusTimesInjections) {
 }
 
 TEST(Campaign, InitPersistsManifestAndJobs) {
-    const std::string dir = fresh_dir("init");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path("init");  // init_campaign creates it
     campaign::Manifest m = tiny_fuzz_manifest();
     std::string error;
     ASSERT_TRUE(campaign::init_campaign(dir, m, &error)) << error;
@@ -139,7 +131,8 @@ TEST(Campaign, FaultRunJobSkipsDeterministically) {
 }
 
 TEST(Engine, InProcessRunCompletesAndMerges) {
-    const std::string dir = fresh_dir("inproc");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path("inproc");  // init_campaign creates it
     campaign::Manifest m = tiny_fuzz_manifest();
     std::string error;
     ASSERT_TRUE(campaign::init_campaign(dir, m, &error)) << error;
@@ -177,8 +170,9 @@ TEST(Engine, InProcessRunCompletesAndMerges) {
 }
 
 TEST(Engine, ShardCountDoesNotChangeReportBytes) {
-    const std::string dir1 = fresh_dir("det1");
-    const std::string dir3 = fresh_dir("det3");
+    const test_support::ScratchDir scratch;
+    const std::string dir1 = scratch.path("det1");
+    const std::string dir3 = scratch.path("det3");
     campaign::Manifest m = tiny_fuzz_manifest();
     std::string error;
     ASSERT_TRUE(campaign::init_campaign(dir1, m, &error)) << error;
@@ -202,7 +196,8 @@ TEST(Engine, ShardCountDoesNotChangeReportBytes) {
 }
 
 TEST(Engine, PrepareRoundListsOnlyPendingJobs) {
-    const std::string dir = fresh_dir("rounds");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path("rounds");  // init_campaign creates it
     campaign::Manifest m = tiny_fuzz_manifest();
     std::string error;
     ASSERT_TRUE(campaign::init_campaign(dir, m, &error)) << error;
@@ -220,7 +215,8 @@ TEST(Engine, PrepareRoundListsOnlyPendingJobs) {
 }
 
 TEST(Engine, MergeReportsIncompleteCampaigns) {
-    const std::string dir = fresh_dir("incomplete");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path("incomplete");  // init_campaign creates it
     campaign::Manifest m = tiny_fuzz_manifest();
     std::string error;
     ASSERT_TRUE(campaign::init_campaign(dir, m, &error)) << error;

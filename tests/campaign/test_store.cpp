@@ -12,19 +12,13 @@
 #include "bench_util.hpp"
 #include "harness/campaign_store.hpp"
 #include "sysc/fsio.hpp"
+#include "scratch_dir.hpp"
 
 namespace fs = std::filesystem;
 using namespace rtk;
 using namespace rtk::harness;
 
 namespace {
-
-std::string fresh_dir(const std::string& name) {
-    const std::string dir = "campaign_store_tests/" + name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -37,7 +31,8 @@ std::string slurp(const std::string& path) {
 // ---- write_file_atomic ------------------------------------------------------
 
 TEST(AtomicWrite, ReplacesContentExactly) {
-    const std::string dir = fresh_dir("atomic");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string path = dir + "/doc.json";
     ASSERT_TRUE(sysc::write_file_atomic(path, "first\n"));
     EXPECT_EQ(slurp(path), "first\n");
@@ -53,7 +48,8 @@ TEST(AtomicWrite, ReplacesContentExactly) {
 }
 
 TEST(AtomicWrite, BinaryExact) {
-    const std::string dir = fresh_dir("atomic_bin");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string path = dir + "/blob.bin";
     std::string payload = "abc";
     payload.push_back('\0');
@@ -64,7 +60,8 @@ TEST(AtomicWrite, BinaryExact) {
 }
 
 TEST(AtomicWrite, FailureLeavesOldFileIntact) {
-    const std::string dir = fresh_dir("atomic_fail");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string path = dir + "/keep.json";
     ASSERT_TRUE(sysc::write_file_atomic(path, "precious\n"));
     // Writing into a directory that does not exist must fail cleanly...
@@ -79,7 +76,8 @@ TEST(AtomicWrite, FailureLeavesOldFileIntact) {
 // ---- JsonlAppender + read_jsonl ---------------------------------------------
 
 TEST(JsonlStore, AppendsAndReadsBack) {
-    const std::string dir = fresh_dir("appender");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string path = dir + "/records.jsonl";
     campaign::JsonlAppender store;
     ASSERT_TRUE(store.open(path, /*flush_every=*/2));
@@ -101,7 +99,8 @@ TEST(JsonlStore, AppendsAndReadsBack) {
 }
 
 TEST(JsonlStore, ReaderSkipsTornTail) {
-    const std::string dir = fresh_dir("torn");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string path = dir + "/records.jsonl";
     {
         std::ofstream out(path, std::ios::binary);
@@ -117,7 +116,8 @@ TEST(JsonlStore, ReaderSkipsTornTail) {
 }
 
 TEST(JsonlStore, ReopenRepairsTornTail) {
-    const std::string dir = fresh_dir("repair");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string path = dir + "/records.jsonl";
     {
         std::ofstream out(path, std::ios::binary);
@@ -138,17 +138,17 @@ TEST(JsonlStore, ReopenRepairsTornTail) {
 }
 
 TEST(JsonlStore, MissingFileReadsEmpty) {
+    const test_support::ScratchDir scratch;
     std::size_t skipped = 7;
-    EXPECT_TRUE(campaign::read_jsonl("campaign_store_tests/nope.jsonl",
-                                     &skipped)
-                    .empty());
+    EXPECT_TRUE(campaign::read_jsonl(scratch.path("nope.jsonl"), &skipped).empty());
     EXPECT_EQ(skipped, 0u);
 }
 
 // ---- ClaimQueue -------------------------------------------------------------
 
 TEST(ClaimQueue, LeasesDisjointBatchesUntilExhausted) {
-    const std::string dir = fresh_dir("claims");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     campaign::ClaimQueue q;
     ASSERT_TRUE(q.open(dir + "/cursor"));
     std::vector<bool> seen(10, false);
@@ -172,7 +172,8 @@ TEST(ClaimQueue, LeasesDisjointBatchesUntilExhausted) {
 }
 
 TEST(ClaimQueue, TwoHandlesShareOneCursor) {
-    const std::string dir = fresh_dir("claims_shared");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     campaign::ClaimQueue a, b;
     ASSERT_TRUE(a.open(dir + "/cursor"));
     ASSERT_TRUE(b.open(dir + "/cursor"));
@@ -190,7 +191,8 @@ TEST(ClaimQueue, TwoHandlesShareOneCursor) {
 }
 
 TEST(ClaimQueue, GarbageCursorHealsToZero) {
-    const std::string dir = fresh_dir("claims_garbage");
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string cursor = dir + "/cursor";
     {
         std::ofstream out(cursor, std::ios::binary);

@@ -14,6 +14,7 @@
 #include "harness/corpus_bridge.hpp"
 #include "harness/runner.hpp"
 #include "sysc/fsio.hpp"
+#include "scratch_dir.hpp"
 
 using namespace rtk;
 using namespace rtk::corpus;
@@ -90,8 +91,8 @@ TEST(Bridge, FuzzSpecLoweringKeepsTheStructure) {
 
 TEST(Bridge, FaultCampaignDrawsWorkloadsFromACorpusDirectory) {
     namespace fs = std::filesystem;
-    const std::string dir = "bridge_campaign_corpus";
-    fs::remove_all(dir);
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
     fs::create_directories(dir + "/pipeline");
 
     // A two-entry corpus with a pinned index, like rtk-corpus gen writes.

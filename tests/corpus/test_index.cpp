@@ -1,11 +1,11 @@
 // The pinned corpus index: digest primitive, canonical serialization,
 // lookup and the on-disk load/save round-trip.
-#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "corpus/index.hpp"
+#include "scratch_dir.hpp"
 
 using namespace rtk;
 using namespace rtk::corpus;
@@ -60,9 +60,8 @@ TEST(Index, CanonicalBytesRoundTrip) {
 }
 
 TEST(Index, SaveAndLoadThroughTheDirectory) {
-    const std::string dir = "corpus_index_tests";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
+    const test_support::ScratchDir scratch;
+    const std::string dir = scratch.path();
 
     const CorpusIndex idx = sample_index();
     std::string error;

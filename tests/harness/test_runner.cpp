@@ -12,6 +12,7 @@
 #include "harness/harness.hpp"
 #include "sysc/report.hpp"
 #include "tkernel/tkernel.hpp"
+#include "scratch_dir.hpp"
 
 namespace rtk::harness {
 namespace {
@@ -160,7 +161,8 @@ TEST(BatchReport, HungScenariosAreReportedAsSuch) {
 
 TEST(BatchReport, WriteJsonRoundTripsToDisk) {
     const BatchReport r = ScenarioRunner().run({trivial_spec("disk")});
-    const std::string path = "batch_report_test.json";
+    const test_support::ScratchDir scratch;
+    const std::string path = scratch.path("batch_report.json");
     ASSERT_TRUE(r.write_json(path));
     std::ifstream in(path);
     std::stringstream ss;

@@ -12,6 +12,7 @@
 
 #include "harness/harness.hpp"
 #include "tkernel/tkernel.hpp"
+#include "scratch_dir.hpp"
 
 namespace rtk::harness {
 namespace {
@@ -186,10 +187,11 @@ TEST(Simulation, VcdTraceIsBitIdenticalSerialVsParallel) {
         ss << in.rdbuf();
         return ss.str();
     };
+    const test_support::ScratchDir scratch;
     ScenarioSpec serial_spec = pingpong_spec(3);
-    serial_spec.vcd_path = "harness_det_serial.vcd";
+    serial_spec.vcd_path = scratch.path("serial.vcd");
     ScenarioSpec parallel_spec = pingpong_spec(3);
-    parallel_spec.vcd_path = "harness_det_parallel.vcd";
+    parallel_spec.vcd_path = scratch.path("parallel.vcd");
 
     const BatchReport serial =
         ScenarioRunner(ScenarioRunner::Options{1}).run({serial_spec});
@@ -197,8 +199,8 @@ TEST(Simulation, VcdTraceIsBitIdenticalSerialVsParallel) {
                                      .run({parallel_spec, pingpong_spec(4)});
     ASSERT_TRUE(serial.results[0].passed) << serial.results[0].error;
     ASSERT_TRUE(parallel.results[0].passed) << parallel.results[0].error;
-    const std::string a = slurp("harness_det_serial.vcd");
-    const std::string b = slurp("harness_det_parallel.vcd");
+    const std::string a = slurp(serial_spec.vcd_path);
+    const std::string b = slurp(parallel_spec.vcd_path);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);  // byte-for-byte
 }

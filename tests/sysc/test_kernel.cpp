@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -113,6 +114,216 @@ TEST_F(KernelTest, TimestepHooksRunAfterDeltas) {
     k.spawn("p", [] { wait(Time::ms(1)); });
     k.run();
     EXPECT_GE(hooks, 2);  // initial delta + wake at 1 ms
+}
+
+// ---- timed-wait elision ----------------------------------------------------
+//
+// wait(d) may advance the clock in place instead of a scheduler round
+// trip. Each test pins the (process, time, delta_count) log of the
+// un-elided schedule, worked out by hand from the evaluate -> update ->
+// delta-notify cycle: a delta cycle in which a process ran ends with
+// ++delta_count, and a process that finishes queues its terminated
+// event, which keeps a later wait in the same cycle from eliding.
+
+struct Mark {
+    std::string who;
+    Time at;
+    std::uint64_t delta;
+    bool operator==(const Mark&) const = default;
+};
+
+void PrintTo(const Mark& m, std::ostream* os) {
+    *os << m.who << "@" << m.at.picoseconds() << "ps/d" << m.delta;
+}
+
+class WaitElisionTest : public ::testing::Test {
+protected:
+    void mark(const char* who) { log.push_back({who, k.now(), k.delta_count()}); }
+
+    Kernel k;
+    std::vector<Mark> log;
+};
+
+TEST_F(WaitElisionTest, LoneTimedWaitsKeepTheUnelidedLog) {
+    k.spawn("a", [&] {
+        wait(Time::ms(3));
+        mark("a");
+    });
+    k.spawn("b", [&] {
+        for (int i = 0; i < 4; ++i) {
+            wait(Time::ms(1));
+            mark("b");
+        }
+    });
+    k.run();
+    // b's waits to 1 and 2 ms may elide (a's wake at 3 ms is later); its
+    // wait to 3 ms ties with a's older entry, so a runs first.
+    EXPECT_EQ(log, (std::vector<Mark>{{"b", Time::ms(1), 1},
+                                      {"b", Time::ms(2), 2},
+                                      {"a", Time::ms(3), 3},
+                                      {"b", Time::ms(3), 3},
+                                      {"b", Time::ms(4), 4}}));
+    EXPECT_EQ(k.now(), Time::ms(4));
+    EXPECT_EQ(k.delta_count(), 5u);
+}
+
+TEST_F(WaitElisionTest, AnOlderEntryAtTheWakeTimeRunsFirst) {
+    Event e(k, "e");
+    k.spawn("a", [&] {
+        wait(e);
+        mark("a");
+    });
+    k.spawn("b", [&] {
+        e.notify(Time::ms(5));
+        wait(Time::ms(5));  // ties with e's entry, which is older
+        mark("b");
+    });
+    k.run();
+    EXPECT_EQ(log, (std::vector<Mark>{{"a", Time::ms(5), 1}, {"b", Time::ms(5), 1}}));
+    EXPECT_EQ(k.delta_count(), 2u);
+}
+
+TEST_F(WaitElisionTest, WakeExactlyAtTheRunUntilLimitResumes) {
+    k.spawn("p", [&] {
+        wait(Time::ms(5));
+        mark("p");
+        wait(Time::ms(1));
+        mark("p");
+    });
+    k.run_until(Time::ms(5));
+    EXPECT_EQ(log, (std::vector<Mark>{{"p", Time::ms(5), 1}}));
+    EXPECT_EQ(k.now(), Time::ms(5));
+    EXPECT_EQ(k.delta_count(), 2u);
+}
+
+TEST_F(WaitElisionTest, WakeOnePicosecondPastTheLimitStaysSuspended) {
+    const Time wake = Time::ms(5) + Time::ps(1);
+    Process& p = k.spawn("p", [&] {
+        wait(wake);
+        mark("p");
+        wait(Time::ms(1));  // run() has no limit: this one may elide
+        mark("p");
+    });
+    k.run_until(Time::ms(5));
+    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(k.now(), Time::ms(5));
+    EXPECT_EQ(k.delta_count(), 1u);
+    EXPECT_EQ(p.state(), Process::State::waiting);
+    k.run();
+    EXPECT_EQ(log, (std::vector<Mark>{{"p", wake, 1}, {"p", wake + Time::ms(1), 2}}));
+    EXPECT_EQ(k.delta_count(), 3u);
+}
+
+TEST_F(WaitElisionTest, PendingStopEndsTheRunBeforeTheWait) {
+    k.spawn("p", [&] {
+        mark("p");
+        k.stop();
+        wait(Time::ms(1));
+        mark("p");
+    });
+    k.run();
+    EXPECT_EQ(log, (std::vector<Mark>{{"p", Time::zero(), 0}}));
+    EXPECT_EQ(k.now(), Time::zero());
+    EXPECT_EQ(k.delta_count(), 1u);
+    k.run();
+    EXPECT_EQ(log, (std::vector<Mark>{{"p", Time::zero(), 0}, {"p", Time::ms(1), 1}}));
+}
+
+TEST_F(WaitElisionTest, DeltaBudgetOfOneExhaustsAtTheSameCount) {
+    k.set_delta_budget(1);
+    k.spawn("p", [&] {
+        for (;;) {
+            mark("p");
+            wait(Time::ms(1));
+        }
+    });
+    k.run_until(Time::ms(10));
+    EXPECT_TRUE(k.delta_budget_exhausted());
+    EXPECT_EQ(log, (std::vector<Mark>{{"p", Time::zero(), 0}}));
+    EXPECT_EQ(k.now(), Time::zero());
+    EXPECT_EQ(k.delta_count(), 1u);
+}
+
+TEST_F(WaitElisionTest, DeltaBudgetOfTwoExhaustsAtTheSameCount) {
+    k.set_delta_budget(2);
+    k.spawn("p", [&] {
+        for (;;) {
+            mark("p");
+            wait(Time::ms(1));
+        }
+    });
+    k.run_until(Time::ms(10));
+    EXPECT_TRUE(k.delta_budget_exhausted());
+    EXPECT_EQ(log, (std::vector<Mark>{{"p", Time::zero(), 0}, {"p", Time::ms(1), 1}}));
+    EXPECT_EQ(k.now(), Time::ms(1));
+    EXPECT_EQ(k.delta_count(), 2u);
+}
+
+TEST_F(WaitElisionTest, PendingDeltaNotifyRunsBeforeTheWake) {
+    Event e(k, "e");
+    k.spawn("q", [&] {
+        wait(e);
+        mark("q");
+    });
+    k.spawn("p", [&] {
+        e.notify_delta();
+        wait(Time::ms(1));
+        mark("p");
+    });
+    k.run();
+    EXPECT_EQ(log, (std::vector<Mark>{{"q", Time::zero(), 1}, {"p", Time::ms(1), 2}}));
+    EXPECT_EQ(k.delta_count(), 3u);
+}
+
+TEST_F(WaitElisionTest, PendingSignalWriteUpdatesBeforeTheWake) {
+    Signal<int> s(k, "s", 0);
+    int seen = -1;
+    k.spawn("q", [&] {
+        wait(s.value_changed_event());
+        seen = s.read();
+        mark("q");
+    });
+    k.spawn("p", [&] {
+        s.write(7);
+        wait(Time::ms(1));
+        mark("p");
+    });
+    k.run();
+    EXPECT_EQ(seen, 7);
+    EXPECT_EQ(log, (std::vector<Mark>{{"q", Time::zero(), 1}, {"p", Time::ms(1), 2}}));
+    EXPECT_EQ(s.last_change(), Time::zero());
+}
+
+TEST_F(WaitElisionTest, TimestepHookSeesEveryCycle) {
+    std::vector<std::pair<Time, std::uint64_t>> cycles;
+    k.add_timestep_hook([&](Time t) { cycles.emplace_back(t, k.delta_count()); });
+    k.spawn("p", [&] {
+        for (int i = 0; i < 3; ++i) {
+            wait(Time::ms(1));
+            mark("p");
+        }
+    });
+    k.run();
+    EXPECT_EQ(log, (std::vector<Mark>{{"p", Time::ms(1), 1},
+                                      {"p", Time::ms(2), 2},
+                                      {"p", Time::ms(3), 3}}));
+    EXPECT_EQ(cycles, (std::vector<std::pair<Time, std::uint64_t>>{
+                          {Time::zero(), 1}, {Time::ms(1), 2}, {Time::ms(2), 3}, {Time::ms(3), 4}}));
+}
+
+TEST_F(WaitElisionTest, StepDeltaNeverAdvancesTime) {
+    k.spawn("p", [&] {
+        wait(Time::ms(1));
+        mark("p");
+    });
+    EXPECT_TRUE(k.step_delta());
+    EXPECT_EQ(k.now(), Time::zero());
+    EXPECT_EQ(k.delta_count(), 1u);
+    EXPECT_FALSE(k.step_delta());  // the wake is a timed entry, not a delta
+    EXPECT_EQ(k.now(), Time::zero());
+    EXPECT_TRUE(log.empty());
+    k.run();
+    EXPECT_EQ(log, (std::vector<Mark>{{"p", Time::ms(1), 1}}));
 }
 
 // ---- timed-queue determinism (indexed min-heap) ----------------------------
