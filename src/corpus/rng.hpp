@@ -30,8 +30,10 @@ public:
         if (bound == 0) {
             return 0;
         }
+        // __extension__ marks the non-ISO 128-bit type as deliberate.
+        __extension__ typedef unsigned __int128 u128;
         return static_cast<std::uint64_t>(
-            (static_cast<unsigned __int128>(next_u64()) * bound) >> 64);
+            (static_cast<u128>(next_u64()) * bound) >> 64);
     }
 
     /// Uniform draw in [lo, hi] (inclusive).

@@ -8,10 +8,10 @@
 #include <utility>
 
 #include "corpus/index.hpp"
+#include "corpus/rng.hpp"
 #include "corpus/scenario_file.hpp"
 #include "harness/campaign_store.hpp"
 #include "harness/corpus_bridge.hpp"
-#include "harness/fuzz_rng.hpp"
 #include "sysc/fsio.hpp"
 
 namespace rtk::harness::campaign {
@@ -231,6 +231,8 @@ const std::pair<fuzz::FuzzSpec, fault::BaselineProfile>& BaselineCache::get(
     return it->second;
 }
 
+namespace {
+
 Json fuzz_result_record(std::uint64_t id, const fuzz::FuzzSpec& spec,
                         const fuzz::SpecVerdict& v) {
     Json r = Json::object();
@@ -270,8 +272,6 @@ Json fault_result_record(std::uint64_t id, const fault::FaultSpec& spec,
     return rec;
 }
 
-namespace {
-
 Json skipped_fault_record(const Job& job, const std::string& reason) {
     Json rec = Json::object();
     rec.set("id", Json::number(job.id));
@@ -291,8 +291,8 @@ fault::FaultSpec make_fault_spec(const Manifest& m, const Job& job,
     f.workload = workload;
     f.cls = fault::all_fault_classes()[job.injection % fault::fault_class_count];
     f.delta_budget = m.delta_budget;
-    fuzz::Rng rng(m.base_seed ^ (job.workload * 0x9e3779b97f4a7c15ULL) ^
-                  (job.injection * 0xbf58476d1ce4e5b9ULL) ^ 0xfa157ULL);
+    corpus::Rng rng(m.base_seed ^ (job.workload * 0x9e3779b97f4a7c15ULL) ^
+                    (job.injection * 0xbf58476d1ce4e5b9ULL) ^ 0xfa157ULL);
     const std::uint64_t salt = rng.next_u64();
     f.target = static_cast<std::uint32_t>(rng.below(64));
     f.field = static_cast<std::uint32_t>(rng.below(24));
@@ -363,13 +363,6 @@ std::string runlist_path(const std::string& dir, unsigned round) {
 
 std::string cursor_path(const std::string& runlist) {
     return runlist + ".cursor";
-}
-
-std::string shard_store_path(const std::string& dir, unsigned round,
-                             unsigned shard) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "/round_%03u_s%u.jsonl", round, shard);
-    return shards_dir(dir) + buf;
 }
 
 bool init_campaign(const std::string& dir, const Manifest& m,

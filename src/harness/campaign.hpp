@@ -122,14 +122,6 @@ private:
 /// deterministic {"skipped": true} record -- still a completed job.
 Json run_job(const Manifest& m, const Job& job, BaselineCache& cache);
 
-/// The record run_job() produces for a fuzz verdict / fault injection --
-/// exposed so in-process campaigns (run_fuzz_campaign / run_fault_campaign
-/// with store_dir set) stream the same schema the sharded engine writes.
-Json fuzz_result_record(std::uint64_t id, const fuzz::FuzzSpec& spec,
-                        const fuzz::SpecVerdict& v);
-Json fault_result_record(std::uint64_t id, const fault::FaultSpec& spec,
-                         const fault::InjectionResult& r);
-
 // ---- directory layout -------------------------------------------------------
 
 std::string manifest_path(const std::string& dir);
@@ -138,8 +130,6 @@ std::string shards_dir(const std::string& dir);
 std::string report_path(const std::string& dir);
 std::string runlist_path(const std::string& dir, unsigned round);
 std::string cursor_path(const std::string& runlist);
-std::string shard_store_path(const std::string& dir, unsigned round,
-                             unsigned shard);
 
 /// Create `dir` (and `dir`/shards), write manifest.json and jobs.jsonl
 /// atomically + durably. Fails if the directory already holds a manifest.

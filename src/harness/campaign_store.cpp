@@ -57,7 +57,6 @@ bool JsonlAppender::open(const std::string& path, std::size_t flush_every,
         }
     }
     fd_ = fd;
-    path_ = path;
     staged_.clear();
     staged_records_ = 0;
     flush_every_ = flush_every == 0 ? 1 : flush_every;

@@ -49,7 +49,6 @@ public:
     bool open(const std::string& path, std::size_t flush_every = 8,
               std::string* error = nullptr);
     bool is_open() const { return fd_ >= 0; }
-    const std::string& path() const { return path_; }
 
     /// Stage one record (`line` must not contain '\n'; one is added).
     /// Flushes + fsyncs when the batch is full. False on I/O failure.
@@ -68,7 +67,6 @@ private:
     bool write_all(const char* data, std::size_t size);
 
     int fd_ = -1;
-    std::string path_;
     std::string staged_;
     std::size_t staged_records_ = 0;
     std::size_t flush_every_ = 8;

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
-#include "api/error.hpp"
 #include "harness/simulation.hpp"
-#include "sysc/report.hpp"
 #include "tkernel/tkernel.hpp"
 
 namespace rtk::harness {
@@ -96,59 +95,6 @@ api::SystemSpec attach_behaviours(const std::shared_ptr<Runtime>& rt,
     return sys;
 }
 
-/// The user main: size the workload-side interpreter state, instantiate
-/// the graph, then fill the ID tables. Autostarted tasks can preempt the
-/// init task mid-instantiation; exec_op's index guards turn ops against
-/// still-empty tables into deterministic no-ops.
-void setup_corpus_workload(const std::shared_ptr<Runtime>& rt,
-                           const std::shared_ptr<const ScenarioFile>& file) {
-    TKernel& tk = *rt->tk;
-
-    const int nodes = std::clamp(file->config.mbx_nodes, 1, 64);
-    for (std::size_t i = 0; i < file->system.mailboxes.size(); ++i) {
-        Runtime::MbxPool pool;
-        for (int n = 0; n < nodes; ++n) {
-            pool.nodes.push_back(std::make_unique<T_MSG_PRI>());
-            pool.free.push_back(pool.nodes.back().get());
-        }
-        rt->mbx_pools.push_back(std::move(pool));
-    }
-    INT max_msz = 1;
-    for (const api::MbfNode& m : file->system.msgbufs) {
-        max_msz = std::max(max_msz, std::clamp(m.def.max_message, 1, 1 << 12));
-    }
-    rt->task_rt.resize(file->system.tasks.size());
-    for (std::size_t i = 0; i < rt->task_rt.size(); ++i) {
-        auto& trt = rt->task_rt[i];
-        trt.snd_buf.assign(static_cast<std::size_t>(max_msz), 0);
-        for (std::size_t b = 0; b < trt.snd_buf.size(); ++b) {
-            trt.snd_buf[b] = static_cast<std::uint8_t>(0x40u + i + b);
-        }
-        trt.rcv_buf.assign(static_cast<std::size_t>(max_msz), 0);
-    }
-
-    api::System sys(tk);
-    auto handles = api::instantiate(sys, attach_behaviours(rt, file));
-    if (!handles.ok()) {
-        sysc::report(sysc::Severity::fatal, "corpus",
-                     std::string("scenario '") + file->name +
-                         "' instantiation failed: " +
-                         api::er_describe(handles.er()));
-    }
-    handles->release_all();
-    for (const auto& h : handles->tasks) rt->tasks.push_back(h.id());
-    for (const auto& h : handles->semaphores) rt->sems.push_back(h.id());
-    for (const auto& h : handles->eventflags) rt->flgs.push_back(h.id());
-    for (const auto& h : handles->mutexes) rt->mtxs.push_back(h.id());
-    for (const auto& h : handles->mailboxes) rt->mbxs.push_back(h.id());
-    for (const auto& h : handles->msgbufs) rt->mbfs.push_back(h.id());
-    for (const auto& h : handles->fixed_pools) rt->mpfs.push_back(h.id());
-    for (const auto& h : handles->var_pools) rt->mpls.push_back(h.id());
-    for (const auto& h : handles->cyclics) rt->cycs.push_back(h.id());
-    for (const auto& h : handles->alarms) rt->alms.push_back(h.id());
-    rt->intvecs = handles->interrupts;
-}
-
 }  // namespace
 
 ScenarioSpec scenario_from_corpus(const ScenarioFile& file,
@@ -172,7 +118,13 @@ ScenarioSpec scenario_from_corpus(const ScenarioFile& file,
         rt->tk = &sim.os();
         rt->hooks = *hooks_ptr;
         sim.retain(rt);
-        sim.set_user_main([rt, file_ptr] { setup_corpus_workload(rt, file_ptr); });
+        sim.set_user_main([rt, file_ptr] {
+            fuzz::instantiate_workload(
+                *rt, attach_behaviours(rt, file_ptr),
+                std::vector<int>(file_ptr->system.mailboxes.size(),
+                                 file_ptr->config.mbx_nodes),
+                "corpus", "scenario '" + file_ptr->name + "'");
+        });
     };
     return sc;
 }

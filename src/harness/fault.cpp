@@ -5,9 +5,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "harness/campaign.hpp"
-#include "harness/campaign_store.hpp"
-#include "harness/fuzz_rng.hpp"
+#include "corpus/rng.hpp"
 #include "sim/observer.hpp"
 #include "sysc/fsio.hpp"
 #include "tkernel/kernel.hpp"
@@ -165,6 +163,13 @@ namespace {
 
 constexpr std::size_t task_field_count = 6;
 constexpr std::size_t object_field_count = 3;
+
+/// Injections built/run/classified per ScenarioRunner batch: bounds how
+/// many scenarios (and retained trace rings) are in memory at once.
+constexpr std::size_t injection_chunk = 256;
+/// Per-run trace ring budget, kept small because every in-flight
+/// injection holds its capture until classification.
+constexpr std::size_t trace_ring_bytes = std::size_t{256} << 10;
 
 /// Stamp the injection instant into the run's trace, if one is being
 /// recorded. An annotation record never feeds the observer fan-out, so
@@ -330,7 +335,7 @@ private:
 
 fuzz::WorkloadHooks make_hooks(std::shared_ptr<InjectionProbe> probe) {
     fuzz::WorkloadHooks hooks;
-    hooks.before_op = [probe](std::uint64_t index, fuzz::FuzzOp& op, bool) {
+    hooks.before_op = [probe](std::uint64_t index, corpus::Op& op, bool) {
         InjectionProbe& p = *probe;
         p.ops = index + 1;
         p.current_call = fuzz::to_string(op.kind);
@@ -597,10 +602,6 @@ std::string CampaignReport::to_json() const {
     return to_json_doc().dump(2) + "\n";
 }
 
-bool CampaignReport::write_json(const std::string& path) const {
-    return sysc::write_file_atomic(path, to_json());
-}
-
 CampaignReport run_fault_campaign(const CampaignOptions& opts) {
     const auto start = std::chrono::steady_clock::now();
     CampaignReport rep;
@@ -626,7 +627,7 @@ CampaignReport run_fault_campaign(const CampaignOptions& opts) {
     // appear; trigger ordinals are drawn inside the baseline profile so
     // every injection actually fires (the pre-trigger prefix of a
     // faulted run is bit-identical to its baseline).
-    fuzz::Rng rng(opts.base_seed ^ 0xfa071u);
+    corpus::Rng rng(opts.base_seed ^ 0xfa071u);
     std::vector<FaultSpec> faults;
     std::vector<std::size_t> workload_of;
     faults.reserve(corpus.size() * opts.injections_per_workload);
@@ -671,31 +672,18 @@ CampaignReport run_fault_campaign(const CampaignOptions& opts) {
     // chunk's scenarios -- and their retained trace rings -- are alive
     // at a time. With trace_dir set, every run records into an in-memory
     // ring (keep_bytes) and the campaign writes only the interesting
-    // captures to disk after classification. With store_dir set, each
-    // classified injection streams into the append-only JSONL store
-    // before the next chunk starts, so a crash loses at most one chunk.
+    // captures to disk after classification.
     const bool tracing = !opts.trace_dir.empty();
     TraceConfig tcfg;
     tcfg.enabled = tracing;
-    tcfg.buffer_bytes = opts.trace_buffer_bytes;
+    tcfg.buffer_bytes = trace_ring_bytes;
     tcfg.keep_bytes = true;
     ScenarioRunner runner(ScenarioRunner::Options{opts.threads});
 
-    campaign::JsonlAppender store;
-    if (!opts.store_dir.empty()) {
-        std::string store_error;
-        if (!store.open(opts.store_dir + "/results.jsonl",
-                        /*flush_every=*/8, &store_error)) {
-            std::fprintf(stderr, "fault campaign: store disabled: %s\n",
-                         store_error.c_str());
-        }
-    }
-
-    const std::size_t chunk = opts.chunk == 0 ? faults.size() : opts.chunk;
     for (std::size_t chunk_begin = 0; chunk_begin < faults.size();
-         chunk_begin += chunk) {
+         chunk_begin += injection_chunk) {
         const std::size_t chunk_end =
-            std::min(faults.size(), chunk_begin + chunk);
+            std::min(faults.size(), chunk_begin + injection_chunk);
         std::vector<BuiltInjection> built;
         std::vector<ScenarioSpec> scenarios;
         built.reserve(chunk_end - chunk_begin);
@@ -746,15 +734,7 @@ CampaignReport run_fault_campaign(const CampaignOptions& opts) {
                     rep.repro_paths.push_back(path);
                 }
             }
-            if (store.is_open()) {
-                store.append(
-                    campaign::fault_result_record(i, faults[i], r).dump(-1));
-            }
         }
-    }
-    if (store.is_open() && !store.close()) {
-        std::fprintf(stderr, "fault campaign: store close failed: %s\n",
-                     store.path().c_str());
     }
 
     rep.wall_seconds =

@@ -204,18 +204,6 @@ struct CampaignOptions {
     /// .rtktrace of each non-masked injection here (at most max_repros
     /// files, referenced by the matching repro JSON's "trace" member).
     std::string trace_dir;
-    /// Per-run ring budget for campaign traces (kept deliberately small:
-    /// every in-flight injection holds its capture until classification).
-    std::size_t trace_buffer_bytes = std::size_t{256} << 10;
-    /// When non-empty, stream one JSONL record per classified injection
-    /// into `<store_dir>/results.jsonl` (append-only, fsync'd in
-    /// batches) as the campaign runs -- a crash leaves every record
-    /// classified so far on disk instead of losing the whole report.
-    std::string store_dir;
-    /// Injections built/run/classified per ScenarioRunner batch. Bounds
-    /// how many scenarios (and retained trace rings) are in memory at
-    /// once and how much work a crash can lose. 0 = one batch.
-    std::size_t chunk = 256;
     fuzz::GenParams params;
 };
 
@@ -265,7 +253,6 @@ struct CampaignReport {
     Json to_json_doc() const;
     /// to_json_doc() rendered with 2-space indent + trailing newline.
     std::string to_json() const;
-    bool write_json(const std::string& path) const;
 };
 
 /// Run a campaign: generate the corpus, profile fault-free baselines,

@@ -8,13 +8,9 @@
 #include <utility>
 
 #include "api/builder.hpp"
-#include "api/error.hpp"
-#include "harness/campaign.hpp"
-#include "harness/campaign_store.hpp"
 #include "harness/runner.hpp"
 #include "harness/simulation.hpp"
 #include "sysc/fsio.hpp"
-#include "sysc/report.hpp"
 #include "tkernel/tkernel.hpp"
 
 namespace rtk::harness::fuzz {
@@ -34,8 +30,9 @@ namespace {
 /// Lower the FuzzSpec's object population onto the shared IR: one
 /// api::SystemSpec describing the whole graph, op programs attached as
 /// behaviour closures over the per-run Runtime.
-api::SystemSpec build_system_spec(const std::shared_ptr<Runtime>& rt) {
-    const FuzzSpec& spec = *rt->spec;
+api::SystemSpec build_system_spec(const std::shared_ptr<Runtime>& rt,
+                                  const std::shared_ptr<const FuzzSpec>& sp) {
+    const FuzzSpec& spec = *sp;
     api::SystemBuilder b;
 
     for (std::size_t i = 0; i < spec.sems.size(); ++i) {
@@ -93,14 +90,14 @@ api::SystemSpec build_system_spec(const std::shared_ptr<Runtime>& rt) {
         api::TaskNode& node =
             b.task("fz_task" + std::to_string(i))
                 .priority(std::clamp(t.pri, min_priority, max_priority))
-                .entry([rt, self](INT, void*) {
+                .entry([rt, sp, self](INT, void*) {
                     for (;;) {
                         rt->tk->sim().SIM_WaitUnits(
                             static_cast<std::uint64_t>(
-                                std::clamp(rt->spec->iter_units, 1, 1000)),
+                                std::clamp(sp->iter_units, 1, 1000)),
                             ExecContext::task);
                         run_program(rt, self,
-                                    rt->spec->tasks[static_cast<std::size_t>(self)].ops,
+                                    sp->tasks[static_cast<std::size_t>(self)].ops,
                                     /*handler=*/false);
                     }
                 })
@@ -120,16 +117,16 @@ api::SystemSpec build_system_spec(const std::shared_ptr<Runtime>& rt) {
             .phase(static_cast<RELTIM>(std::clamp(c.phase_ms, 0, 1000)))
             .autostart(c.autostart)
             .honor_phase(c.phs)
-            .handler([rt, idx](void*) {
-                run_program(rt, -1, rt->spec->cycs[idx].ops, /*handler=*/true);
+            .handler([rt, sp, idx](void*) {
+                run_program(rt, -1, sp->cycs[idx].ops, /*handler=*/true);
             });
     }
     for (std::size_t i = 0; i < spec.alms.size(); ++i) {
         const AlmSpec& a = spec.alms[i];
         const std::size_t idx = i;
         b.alarm("fz_alm" + std::to_string(i))
-            .handler([rt, idx](void*) {
-                run_program(rt, -1, rt->spec->alms[idx].ops, /*handler=*/true);
+            .handler([rt, sp, idx](void*) {
+                run_program(rt, -1, sp->alms[idx].ops, /*handler=*/true);
             })
             .start_after(a.start_ms > 0
                              ? static_cast<RELTIM>(std::clamp(a.start_ms, 1, 1000))
@@ -140,66 +137,11 @@ api::SystemSpec build_system_spec(const std::shared_ptr<Runtime>& rt) {
         const std::size_t idx = i;
         b.interrupt(100 + static_cast<UINT>(i))
             .priority(std::clamp(v.pri, 1, 8))
-            .handler([rt, idx](void*) {
-                run_program(rt, -1, rt->spec->ints[idx].ops, /*handler=*/true);
+            .handler([rt, sp, idx](void*) {
+                run_program(rt, -1, sp->ints[idx].ops, /*handler=*/true);
             });
     }
     return b.take_spec();
-}
-
-/// The user main: instantiates the whole object population through the
-/// api facade and seeds the interpreter's runtime tables. Runs inside
-/// the init task after boot.
-void setup_workload(const std::shared_ptr<Runtime>& rt) {
-    TKernel& tk = *rt->tk;
-    const FuzzSpec& spec = *rt->spec;
-
-    // Workload-side runtime state the kernel does not manage: mailbox
-    // message-node pools and per-task message-buffer payload buffers.
-    for (const MbxSpec& m : spec.mbxs) {
-        Runtime::MbxPool pool;
-        const int nodes = std::clamp(m.nodes, 1, 64);
-        for (int n = 0; n < nodes; ++n) {
-            pool.nodes.push_back(std::make_unique<T_MSG_PRI>());
-            pool.free.push_back(pool.nodes.back().get());
-        }
-        rt->mbx_pools.push_back(std::move(pool));
-    }
-    INT max_msz = 1;
-    for (const MbfSpec& m : spec.mbfs) {
-        max_msz = std::max(max_msz, std::clamp(m.maxmsz, 1, 1 << 12));
-    }
-    rt->task_rt.resize(spec.tasks.size());
-    for (std::size_t i = 0; i < spec.tasks.size(); ++i) {
-        auto& trt = rt->task_rt[i];
-        trt.snd_buf.assign(static_cast<std::size_t>(max_msz), 0);
-        for (std::size_t b = 0; b < trt.snd_buf.size(); ++b) {
-            trt.snd_buf[b] = static_cast<std::uint8_t>(0x40u + i + b);
-        }
-        trt.rcv_buf.assign(static_cast<std::size_t>(max_msz), 0);
-    }
-
-    // Instantiate the graph in one shot; the interpreter addresses
-    // objects by raw ID, so ownership goes straight back to the kernel.
-    api::System sys(tk);
-    auto handles = api::instantiate(sys, build_system_spec(rt));
-    if (!handles.ok()) {
-        sysc::report(sysc::Severity::fatal, "fuzz",
-                     std::string("FuzzSpec instantiation failed: ") +
-                         api::er_describe(handles.er()));
-    }
-    handles->release_all();
-    for (const auto& h : handles->tasks) rt->tasks.push_back(h.id());
-    for (const auto& h : handles->semaphores) rt->sems.push_back(h.id());
-    for (const auto& h : handles->eventflags) rt->flgs.push_back(h.id());
-    for (const auto& h : handles->mutexes) rt->mtxs.push_back(h.id());
-    for (const auto& h : handles->mailboxes) rt->mbxs.push_back(h.id());
-    for (const auto& h : handles->msgbufs) rt->mbfs.push_back(h.id());
-    for (const auto& h : handles->fixed_pools) rt->mpfs.push_back(h.id());
-    for (const auto& h : handles->var_pools) rt->mpls.push_back(h.id());
-    for (const auto& h : handles->cyclics) rt->cycs.push_back(h.id());
-    for (const auto& h : handles->alarms) rt->alms.push_back(h.id());
-    rt->intvecs = handles->interrupts;
 }
 
 }  // namespace
@@ -236,9 +178,15 @@ BuiltScenario build_scenario(const FuzzSpec& spec, bool with_oracle,
                    attach](Simulation& sim, const ScenarioSpec&) {
         auto rt = std::make_shared<Runtime>();
         rt->tk = &sim.os();
-        rt->spec = spec_ptr;
         rt->hooks = *hooks_ptr;
-        sim.set_user_main([rt] { setup_workload(rt); });
+        sim.set_user_main([rt, spec_ptr] {
+            std::vector<int> mbx_nodes;
+            for (const MbxSpec& m : spec_ptr->mbxs) {
+                mbx_nodes.push_back(m.nodes);
+            }
+            instantiate_workload(*rt, build_system_spec(rt, spec_ptr),
+                                 mbx_nodes, "fuzz", "FuzzSpec");
+        });
         sim.retain(rt);
         if (with_oracle) {
             auto oracle = std::make_shared<InvariantOracle>(sim.os());
@@ -406,10 +354,10 @@ RefClass ref_class(OpKind k) {
 
 /// After removing instance `idx` of `cls`, drop ops that referenced it
 /// and shift higher indices down.
-void remap_ops(std::vector<FuzzOp>& ops, RefClass cls, std::int32_t idx) {
-    std::vector<FuzzOp> out;
+void remap_ops(std::vector<corpus::Op>& ops, RefClass cls, std::int32_t idx) {
+    std::vector<corpus::Op> out;
     out.reserve(ops.size());
-    for (FuzzOp op : ops) {
+    for (corpus::Op op : ops) {
         if (ref_class(op.kind) == cls) {
             if (op.a == idx) {
                 continue;
@@ -567,7 +515,6 @@ std::string FuzzReport::to_json() const {
         o.set("kind", Json::string(f.kind));
         o.set("detail", Json::string(f.detail));
         o.set("repro_path", Json::string(f.repro_path));
-        o.set("trace_path", Json::string(f.trace_path));
         fails.push(std::move(o));
     }
     j.set("failures", std::move(fails));
@@ -623,16 +570,6 @@ FuzzReport run_fuzz_campaign(const FuzzOptions& opts) {
 
     report.runs = 2 * specs.size();
 
-    campaign::JsonlAppender store;
-    if (!opts.store_dir.empty()) {
-        std::string store_error;
-        if (!store.open(opts.store_dir + "/results.jsonl",
-                        /*flush_every=*/8, &store_error)) {
-            std::fprintf(stderr, "fuzz campaign: store disabled: %s\n",
-                         store_error.c_str());
-        }
-    }
-
     for (std::size_t i = 0; i < specs.size(); ++i) {
         SpecVerdict v;
         v.serial_fingerprint = serial_report.results[i].fingerprint;
@@ -641,10 +578,6 @@ FuzzReport run_fuzz_campaign(const FuzzOptions& opts) {
         absorb_leg(v, parallel_report.results[i], *parallel[i].oracle);
         v.mismatch = v.serial_fingerprint != v.parallel_fingerprint;
         report.oracle_events += serial[i].oracle->events;
-        if (store.is_open()) {
-            store.append(
-                campaign::fuzz_result_record(i, specs[i], v).dump(-1));
-        }
         if (v.ok()) {
             continue;
         }
@@ -671,29 +604,14 @@ FuzzReport run_fuzz_campaign(const FuzzOptions& opts) {
         fail.repro_json = make_repro_json(repro_spec, fail.kind, fail.detail,
                                           minimized);
         if (!opts.repro_dir.empty()) {
-            const std::string stem = opts.repro_dir + "/repro_seed" +
-                                     std::to_string(specs[i].seed) +
-                                     (specs[i].round_robin ? "_rr" : "_pp");
-            fail.repro_path = stem + ".json";
+            fail.repro_path = opts.repro_dir + "/repro_seed" +
+                              std::to_string(specs[i].seed) +
+                              (specs[i].round_robin ? "_rr" : "_pp") + ".json";
             if (!sysc::write_file_atomic(fail.repro_path, fail.repro_json)) {
                 fail.repro_path.clear();
             }
-            if (opts.trace_failures) {
-                // One serial traced re-run of the (minimized) failing
-                // spec: the .rtktrace that lands beside the repro JSON
-                // is what a developer opens first.
-                BuiltScenario rerun = build_scenario(repro_spec);
-                rerun.scenario.trace.enabled = true;
-                rerun.scenario.trace.path = stem + ".rtktrace";
-                const ScenarioResult rr = run_scenario(rerun.scenario);
-                fail.trace_path = rr.trace_path;
-            }
         }
         report.failures.push_back(std::move(fail));
-    }
-    if (store.is_open() && !store.close()) {
-        std::fprintf(stderr, "fuzz campaign: store close failed: %s\n",
-                     store.path().c_str());
     }
 
     report.wall_seconds =

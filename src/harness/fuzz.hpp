@@ -103,15 +103,6 @@ struct FuzzOptions {
     bool minimize = true;
     /// When non-empty, write one repro JSON per failing seed here.
     std::string repro_dir;
-    /// Re-run each failing (minimized) spec once serially under the
-    /// trace::Recorder and write the .rtktrace beside its repro JSON.
-    /// Needs repro_dir; off by default (failures are rare, the re-run
-    /// is one extra simulation per failure).
-    bool trace_failures = false;
-    /// When non-empty, stream one JSONL record per classified spec into
-    /// `<store_dir>/results.jsonl` (append-only, fsync'd in batches) --
-    /// the same record schema the sharded campaign engine writes.
-    std::string store_dir;
     GenParams params;
 };
 
@@ -122,7 +113,6 @@ struct FuzzFailure {
     std::string detail;
     std::string repro_json;
     std::string repro_path;  ///< empty when repro_dir was not set
-    std::string trace_path;  ///< empty unless FuzzOptions::trace_failures
 };
 
 struct FuzzReport {

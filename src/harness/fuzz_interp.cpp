@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#include "api/builder.hpp"
+#include "api/error.hpp"
+#include "sysc/report.hpp"
+
 namespace rtk::harness::fuzz {
 
 using namespace rtk::tkernel;
@@ -20,10 +24,59 @@ bool idx_ok(const Vec& v, std::int32_t i) {
 
 }  // namespace
 
+void instantiate_workload(Runtime& rt, const api::SystemSpec& sys,
+                          const std::vector<int>& mbx_nodes,
+                          std::string_view who, const std::string& what) {
+    for (const int count : mbx_nodes) {
+        Runtime::MbxPool pool;
+        const int nodes = std::clamp(count, 1, 64);
+        for (int n = 0; n < nodes; ++n) {
+            pool.nodes.push_back(std::make_unique<T_MSG_PRI>());
+            pool.free.push_back(pool.nodes.back().get());
+        }
+        rt.mbx_pools.push_back(std::move(pool));
+    }
+    INT max_msz = 1;
+    for (const api::MbfNode& m : sys.msgbufs) {
+        max_msz = std::max(max_msz, std::clamp(m.def.max_message, 1, 1 << 12));
+    }
+    rt.task_rt.resize(sys.tasks.size());
+    for (std::size_t i = 0; i < rt.task_rt.size(); ++i) {
+        auto& trt = rt.task_rt[i];
+        trt.snd_buf.assign(static_cast<std::size_t>(max_msz), 0);
+        for (std::size_t b = 0; b < trt.snd_buf.size(); ++b) {
+            trt.snd_buf[b] = static_cast<std::uint8_t>(0x40u + i + b);
+        }
+        trt.rcv_buf.assign(static_cast<std::size_t>(max_msz), 0);
+    }
+
+    // The interpreter addresses objects by raw ID, so ownership goes
+    // straight back to the kernel.
+    api::System system(*rt.tk);
+    auto handles = api::instantiate(system, sys);
+    if (!handles.ok()) {
+        sysc::report(sysc::Severity::fatal, who,
+                     what + " instantiation failed: " +
+                         api::er_describe(handles.er()));
+    }
+    handles->release_all();
+    for (const auto& h : handles->tasks) rt.tasks.push_back(h.id());
+    for (const auto& h : handles->semaphores) rt.sems.push_back(h.id());
+    for (const auto& h : handles->eventflags) rt.flgs.push_back(h.id());
+    for (const auto& h : handles->mutexes) rt.mtxs.push_back(h.id());
+    for (const auto& h : handles->mailboxes) rt.mbxs.push_back(h.id());
+    for (const auto& h : handles->msgbufs) rt.mbfs.push_back(h.id());
+    for (const auto& h : handles->fixed_pools) rt.mpfs.push_back(h.id());
+    for (const auto& h : handles->var_pools) rt.mpls.push_back(h.id());
+    for (const auto& h : handles->cyclics) rt.cycs.push_back(h.id());
+    for (const auto& h : handles->alarms) rt.alms.push_back(h.id());
+    rt.intvecs = handles->interrupts;
+}
+
 /// Execute one op. `self` is the invoking task's spec index, -1 in
 /// handler context. Handlers never block: their timeouts collapse to
 /// TMO_POL and task-state ops (held blocks, message nodes) are skipped.
-void exec_op(Runtime& rt, int self, const FuzzOp& op, bool handler) {
+void exec_op(Runtime& rt, int self, const corpus::Op& op, bool handler) {
     TKernel& tk = *rt.tk;
     const ExecContext ctx = handler ? ExecContext::handler : ExecContext::task;
     const auto tmo = [&](std::int32_t t) { return handler ? TMO_POL : to_tmo(t); };
@@ -331,11 +384,11 @@ void exec_op(Runtime& rt, int self, const FuzzOp& op, bool handler) {
 }
 
 void run_program(const std::shared_ptr<Runtime>& rt, int self,
-                 const std::vector<FuzzOp>& ops, bool handler) {
-    for (const FuzzOp& op : ops) {
+                 const std::vector<corpus::Op>& ops, bool handler) {
+    for (const corpus::Op& op : ops) {
         // Ops execute from a copy so a before_op rewrite (argument
         // corruption) never leaks into later iterations of the program.
-        FuzzOp cur = op;
+        corpus::Op cur = op;
         if (rt->hooks.before_op) {
             rt->hooks.before_op(rt->op_index, cur, handler);
         }

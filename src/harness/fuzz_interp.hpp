@@ -1,22 +1,27 @@
-// The op-program interpreter: executes corpus::Program sequences (the
-// fuzzer's FuzzOp alias) against a live kernel. One Runtime per
-// simulation holds the ID tables and workload-side state (mailbox node
-// pools, message-buffer payloads, held pool blocks); exec_op maps each
-// op onto the corresponding service call with every operand clamped or
-// index-guarded, so any program is safe to run against any object
-// population. Shared by the fuzzer (fuzz.cpp) and the corpus bridge
-// (corpus_bridge.cpp), which must interpret identically or corpus
-// fingerprints and fuzz repros diverge.
+// The op-program interpreter: executes corpus::Program sequences against
+// a live kernel. One Runtime per simulation holds the ID tables and
+// workload-side state (mailbox node pools, message-buffer payloads,
+// held pool blocks); exec_op maps each op onto the corresponding service
+// call with every operand clamped or index-guarded, so any program is
+// safe to run against any object population. Shared by the fuzzer
+// (fuzz.cpp) and the corpus bridge (corpus_bridge.cpp), which must
+// interpret identically or corpus fingerprints and fuzz repros diverge.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "harness/fuzz_spec.hpp"
 #include "tkernel/tkernel.hpp"
+
+namespace rtk::api {
+struct SystemSpec;
+}  // namespace rtk::api
 
 namespace rtk::harness::fuzz {
 
@@ -27,15 +32,13 @@ namespace rtk::harness::fuzz {
 /// engine attributes injections to service calls and corrupts call
 /// arguments deterministically.
 struct WorkloadHooks {
-    std::function<void(std::uint64_t index, FuzzOp& op, bool handler)> before_op;
+    std::function<void(std::uint64_t index, corpus::Op& op, bool handler)> before_op;
 };
 
 /// Per-simulation interpreter state. Created fresh by the workload of
-/// each run so identical specs replay identically. `spec` is only read
-/// by the fuzzer's entry closures; corpus-driven runs leave it null.
+/// each run so identical specs replay identically.
 struct Runtime {
     tkernel::TKernel* tk = nullptr;
-    std::shared_ptr<const FuzzSpec> spec;
     WorkloadHooks hooks;
     std::uint64_t op_index = 0;  ///< global op-execution counter
 
@@ -66,13 +69,25 @@ struct Runtime {
     }
 };
 
+/// The user main of an interpreted workload: size the workload-side
+/// state (`mbx_nodes[i]` message nodes for mailbox i, clamped to
+/// [1, 64]; per-task send/receive payloads as long as the largest
+/// message-buffer message), instantiate `sys`, then fill the ID tables.
+/// Autostarted tasks can preempt the init task mid-instantiation;
+/// exec_op's index guards turn ops against still-empty tables into
+/// deterministic no-ops. A failed instantiation is a fatal report under
+/// `who`, reading "<what> instantiation failed: <error>".
+void instantiate_workload(Runtime& rt, const api::SystemSpec& sys,
+                          const std::vector<int>& mbx_nodes,
+                          std::string_view who, const std::string& what);
+
 /// Execute one op. `self` is the invoking task's spec index, -1 in
 /// handler context. Handlers never block: their timeouts collapse to
 /// TMO_POL and task-state ops (held blocks, message nodes) are skipped.
-void exec_op(Runtime& rt, int self, const FuzzOp& op, bool handler);
+void exec_op(Runtime& rt, int self, const corpus::Op& op, bool handler);
 
 /// Interpret `ops` in order, routing each through hooks.before_op.
 void run_program(const std::shared_ptr<Runtime>& rt, int self,
-                 const std::vector<FuzzOp>& ops, bool handler);
+                 const std::vector<corpus::Op>& ops, bool handler);
 
 }  // namespace rtk::harness::fuzz

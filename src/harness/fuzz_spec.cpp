@@ -3,7 +3,7 @@
 #include <array>
 #include <utility>
 
-#include "harness/fuzz_rng.hpp"
+#include "corpus/rng.hpp"
 
 namespace rtk::harness::fuzz {
 
@@ -246,7 +246,7 @@ bool FuzzSpec::from_json(const Json& j, FuzzSpec& out, std::string* error) {
 
 namespace {
 
-SpecTmo gen_tmo(Rng& rng) {
+SpecTmo gen_tmo(corpus::Rng& rng) {
     const std::uint64_t r = rng.below(100);
     if (r < 20) {
         return -1;  // TMO_FEVR
@@ -259,7 +259,8 @@ SpecTmo gen_tmo(Rng& rng) {
 
 /// One op aimed at task-level code. Only object classes that exist in
 /// the spec are drawn.
-FuzzOp gen_task_op(Rng& rng, const FuzzSpec& spec, const GenParams& params) {
+corpus::Op gen_task_op(corpus::Rng& rng, const FuzzSpec& spec,
+                       const GenParams& params) {
     const int ntasks = static_cast<int>(spec.tasks.size());
     for (;;) {
         // Draw an op family, then reject families without instances.
@@ -411,7 +412,8 @@ FuzzOp gen_task_op(Rng& rng, const FuzzSpec& spec, const GenParams& params) {
 }
 
 /// Handler-context op: non-blocking signalling / control only.
-FuzzOp gen_handler_op(Rng& rng, const FuzzSpec& spec, const GenParams& params) {
+corpus::Op gen_handler_op(corpus::Rng& rng, const FuzzSpec& spec,
+                          const GenParams& params) {
     const int ntasks = static_cast<int>(spec.tasks.size());
     for (;;) {
         switch (rng.below(10)) {
@@ -464,9 +466,10 @@ FuzzOp gen_handler_op(Rng& rng, const FuzzSpec& spec, const GenParams& params) {
     }
 }
 
-std::vector<FuzzOp> gen_ops(Rng& rng, const FuzzSpec& spec, const GenParams& params,
-                            int count, bool handler) {
-    std::vector<FuzzOp> ops;
+std::vector<corpus::Op> gen_ops(corpus::Rng& rng, const FuzzSpec& spec,
+                                const GenParams& params, int count,
+                                bool handler) {
+    std::vector<corpus::Op> ops;
     ops.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
         ops.push_back(handler ? gen_handler_op(rng, spec, params)
@@ -478,7 +481,7 @@ std::vector<FuzzOp> gen_ops(Rng& rng, const FuzzSpec& spec, const GenParams& par
 }  // namespace
 
 FuzzSpec generate_spec(std::uint64_t seed, const GenParams& params) {
-    Rng rng(seed);
+    corpus::Rng rng(seed);
     FuzzSpec spec;
     spec.seed = seed;
     spec.round_robin = (rng.next_u64() & 1) != 0;

@@ -7,7 +7,7 @@
 //
 //   seed  --generate-->  FuzzSpec  --build_scenario-->  ScenarioSpec
 //
-// generate() is deterministic and platform-independent (fuzz_rng.hpp),
+// generate() is deterministic and platform-independent (corpus/rng.hpp),
 // and to_json()/from_json() round-trip losslessly, so a repro file can
 // pin either the seed alone or a minimized spec that no longer matches
 // any seed.
@@ -24,18 +24,16 @@ namespace rtk::harness::fuzz {
 
 // The op data model lives in rtk::corpus (corpus/ops.hpp) so corpus
 // scenario files and fuzz specs share one encoding and one
-// interpreter; these aliases keep the historical fuzz:: spellings
-// working.
+// interpreter.
 using SpecTmo = corpus::SpecTmo;
 using OpKind = corpus::OpKind;
-using FuzzOp = corpus::Op;
 using corpus::op_kind_from_string;
 using corpus::to_string;
 
 struct TaskSpec {
     std::int32_t pri = 1;
     bool tex = false;  ///< define a task-exception handler at creation
-    std::vector<FuzzOp> ops;
+    std::vector<corpus::Op> ops;
 };
 
 struct SemSpec {
@@ -85,17 +83,17 @@ struct CycSpec {
     std::int32_t phase_ms = 0;
     bool autostart = true;
     bool phs = false;
-    std::vector<FuzzOp> ops;
+    std::vector<corpus::Op> ops;
 };
 
 struct AlmSpec {
     std::int32_t start_ms = 0;  ///< 0: created stopped
-    std::vector<FuzzOp> ops;
+    std::vector<corpus::Op> ops;
 };
 
 struct IntSpec {
     std::int32_t pri = 1;
-    std::vector<FuzzOp> ops;
+    std::vector<corpus::Op> ops;
 };
 
 struct FuzzSpec {

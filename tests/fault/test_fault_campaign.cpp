@@ -4,12 +4,12 @@
 // consumer) fan-out the engine rides on.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "harness/harness.hpp"
+#include "scratch_dir.hpp"
 
 namespace rtk::harness::fault {
 namespace {
@@ -49,12 +49,6 @@ TEST(FaultCampaignTest, ClassifiesEveryInjection) {
 }
 
 TEST(FaultCampaignTest, CampaignIsDeterministic) {
-    CampaignOptions opts = smoke_options();
-    opts.corpus = 2;
-    opts.injections_per_workload = 12;
-    const CampaignReport a = run_fault_campaign(opts);
-    opts.threads = 1;  // thread count must not change any outcome
-    const CampaignReport b = run_fault_campaign(opts);
     // Everything but the wall clock must be bit-identical.
     auto strip_wall = [](const CampaignReport& rep) {
         Json doc;
@@ -65,7 +59,24 @@ TEST(FaultCampaignTest, CampaignIsDeterministic) {
         doc.set("campaign", std::move(agg));
         return doc.dump(2);
     };
-    EXPECT_EQ(strip_wall(a), strip_wall(b));
+    struct Input {
+        std::size_t corpus;
+        std::size_t injections_per_workload;
+        unsigned threads_a;
+        unsigned threads_b;
+    };
+    // The second input runs more than one 256-injection chunk.
+    for (const Input& in : {Input{2, 12, 2, 1}, Input{6, 48, 1, 4}}) {
+        CampaignOptions opts = smoke_options();
+        opts.corpus = in.corpus;
+        opts.injections_per_workload = in.injections_per_workload;
+        opts.threads = in.threads_a;
+        const CampaignReport a = run_fault_campaign(opts);
+        opts.threads = in.threads_b;  // thread count must not change any outcome
+        const CampaignReport b = run_fault_campaign(opts);
+        EXPECT_EQ(a.injections, in.corpus * in.injections_per_workload);
+        EXPECT_EQ(strip_wall(a), strip_wall(b));
+    }
 }
 
 TEST(FaultCampaignTest, CoverageDocumentHasTheHeatMapShape) {
@@ -104,8 +115,9 @@ TEST(FaultCampaignTest, CoverageDocumentHasTheHeatMapShape) {
 }
 
 TEST(FaultCampaignTest, WritesParseableReproFiles) {
+    const test_support::ScratchDir scratch;
     CampaignOptions opts = smoke_options();
-    opts.repro_dir = ".";
+    opts.repro_dir = scratch.path();
     opts.max_repros = 2;
     const CampaignReport rep = run_fault_campaign(opts);
     ASSERT_FALSE(rep.repro_paths.empty());
@@ -120,7 +132,6 @@ TEST(FaultCampaignTest, WritesParseableReproFiles) {
         std::string error;
         EXPECT_TRUE(parse_repro_json(text.str(), spec, &error))
             << path << ": " << error;
-        std::remove(path.c_str());
     }
 }
 

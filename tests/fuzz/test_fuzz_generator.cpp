@@ -56,12 +56,12 @@ TEST(FuzzGenerator, CoversTheServiceCallSurface) {
         rr = rr || s.round_robin;
         pp = pp || !s.round_robin;
         for (const TaskSpec& t : s.tasks) {
-            for (const FuzzOp& op : t.ops) {
+            for (const corpus::Op& op : t.ops) {
                 seen.insert(to_string(op.kind));
             }
         }
         for (const CycSpec& c : s.cycs) {
-            for (const FuzzOp& op : c.ops) {
+            for (const corpus::Op& op : c.ops) {
                 seen.insert(to_string(op.kind));
             }
         }

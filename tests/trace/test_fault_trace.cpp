@@ -4,12 +4,12 @@
 // campaign writes .rtktrace files that the repro JSONs reference.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "harness/harness.hpp"
+#include "scratch_dir.hpp"
 #include "trace/trace.hpp"
 
 namespace rtk::harness::fault {
@@ -88,13 +88,14 @@ TEST(FaultTrace, TracingDoesNotChangeInjectionOutcomes) {
 }
 
 TEST(FaultTrace, TracedCampaignWritesTracesAndReferencesThem) {
+    const test_support::ScratchDir scratch;
     CampaignOptions opts;
     opts.base_seed = 880001;
     opts.corpus = 4;  // the fixed seed block known to break invariants
     opts.injections_per_workload = 24;
     opts.threads = 2;
-    opts.repro_dir = ".";
-    opts.trace_dir = ".";
+    opts.repro_dir = scratch.path();
+    opts.trace_dir = scratch.path();
     opts.max_repros = 3;
     const CampaignReport rep = run_fault_campaign(opts);
 
@@ -138,13 +139,6 @@ TEST(FaultTrace, TracedCampaignWritesTracesAndReferencesThem) {
     ASSERT_TRUE(Json::parse(rep.to_json(), doc, &error)) << error;
     ASSERT_TRUE(doc.has("trace"));
     EXPECT_EQ(doc.at("trace").at("traced_runs").as_u64(), rep.traced_runs);
-
-    for (const std::string& path : rep.trace_paths) {
-        std::remove(path.c_str());
-    }
-    for (const std::string& path : rep.repro_paths) {
-        std::remove(path.c_str());
-    }
 }
 
 }  // namespace
